@@ -7,6 +7,9 @@ The inner problem is convex; a primal-dual splitting (gradient on the
 smooth nonlocal penalty, proximal handling of the total-variation term,
 projection onto the box-and-mass set) solves it to a relative residual,
 and a mass-rank threshold maps the minimizer back to an indicator field.
+The projection is a continuous quadratic knapsack, solved exactly by a
+breakpoint method warm started from the previous iteration's shift
+(Kiwiel 2008), so each PD iteration pays for about two clipped sums.
 
 Running the same construction with a shorter penalty time tau in (0, h]
 yields the variational interpolants that the dissipation diagnostics
@@ -27,8 +30,6 @@ from .fields import (
 )
 from .energy import PhaseField, energy, wall_weight
 
-THRESHOLD_POLICIES = ("mass-quantile",)
-
 # Convergence of the relaxed splitting needs 1/t - sigma*|K|^2 >= L/2 and a
 # relaxation factor below 2 - (L/2)/(1/t - sigma*|K|^2); the step sizes
 # below keep both with a margin. The dual scale trades primal for dual
@@ -36,7 +37,8 @@ THRESHOLD_POLICIES = ("mass-quantile",)
 _DUAL_SCALE = 32.0
 _RELAX = 1.5
 _CHECK_EVERY = 10
-_PROJ_TOL = 1e-12
+# landing tolerance of the box-and-mass projection, on the mean
+_MEAN_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class StepConfig:
     h: float
     pd_max_iters: int = 40000
     pd_tol: float = 1e-5
-    threshold_policy: str = "mass-quantile"
     relaxed_output: bool = False
     interpolant_samples: int = 0
 
@@ -55,10 +56,6 @@ class StepConfig:
             raise ValueError("pd_max_iters must be at least 100")
         if not (0.0 < self.pd_tol <= 1e-3):
             raise ValueError("pd_tol must lie in (0, 1e-3]")
-        if self.threshold_policy not in THRESHOLD_POLICIES:
-            raise ValueError(
-                "unknown threshold policy %r" % (self.threshold_policy,)
-            )
         if self.interpolant_samples < 0:
             raise ValueError("interpolant_samples must be nonnegative")
 
@@ -105,23 +102,73 @@ class Trajectory:
         return self.n_steps * self.h
 
 
-def _project_box_mass(v, mean_target):
+def _project_box_mass(v, mean_target, shift):
     """Euclidean projection onto {u in [0,1]^N : mean(u) = mean_target}.
 
-    The projection is clip(v + s) for a scalar shift s; the mean of the
-    clipped field is nondecreasing in s, so bisection pins s down.
+    The projection is clip(v + s) for the scalar shift s at which the
+    clipped sum f(s) = sum(clip(v + s, 0, 1)) reaches N * mean_target (a
+    continuous quadratic knapsack). f is nondecreasing and piecewise linear:
+    its slope is the number of free cells (0 < v + s < 1) and its
+    breakpoints are -v_i, where a cell leaves 0, and 1 - v_i, where it
+    reaches 1. The root lies in [lo, hi] = [-max v, 1 - min v].
+
+    Newton steps start from `shift`, the previous call's root, and use the
+    one-sided slope towards the root, so a step that stays on the root's
+    linear piece lands on it exactly. Every evaluation shrinks the bracket.
+    When two evaluations have not landed, or a step would leave the
+    bracket, a sweep over the breakpoints inside the bracket, sorted,
+    finds the root's linear piece and solves it exactly.
+
+    Returns (u, s).
     """
-    lo = -float(np.max(v))
-    hi = 1.0 - float(np.min(v))
-    if hi <= lo:
-        return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
-    while hi - lo > _PROJ_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(np.clip(v + mid, 0.0, 1.0).mean()) < mean_target:
-            lo = mid
+    n = v.size
+    target = mean_target * n
+    # rounding floor of the clipped sum: evaluations within it have landed
+    tol = _MEAN_TOL * n
+    lo, hi = -float(v.max()), 1.0 - float(v.min())
+    f_lo = -target
+    s = min(max(shift, lo), hi)
+    for _ in range(2):
+        w = v + s
+        u = np.clip(w, 0.0, 1.0)
+        r = float(u.sum()) - target
+        if abs(r) <= tol:
+            return u, s
+        if r < 0.0:
+            lo, f_lo = s, r
+            slope = np.count_nonzero((w >= 0.0) & (w < 1.0))
         else:
-            hi = mid
-    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+            hi = s
+            slope = np.count_nonzero((w > 0.0) & (w <= 1.0))
+        if slope == 0:
+            break
+        s -= r / slope
+        if not lo < s < hi:
+            break
+    s = _sweep_root(v, lo, f_lo, hi)
+    return np.clip(v + s, 0.0, 1.0), s
+
+
+def _sweep_root(v, lo, f_lo, hi):
+    """Root of the clipped sum in (lo, hi), given its value f_lo at lo.
+
+    Walks the breakpoints strictly inside the bracket in order, tracking
+    the slope (+1 where a cell leaves 0, -1 where it reaches 1) and the
+    value of f at each breakpoint; the root lies on the last linear piece
+    that starts below zero.
+    """
+    enter = -v[(v > -hi) & (v < -lo)]
+    leave = 1.0 - v[(v > 1.0 - hi) & (v < 1.0 - lo)]
+    points = np.concatenate((enter, leave))
+    order = np.argsort(points, kind="stable")
+    xs = np.concatenate(([lo], points[order]))
+    turns = np.concatenate((np.ones(enter.size), -np.ones(leave.size)))[order]
+    # slope just right of lo: cells with 0 <= v + lo < 1
+    slope_lo = np.count_nonzero((v >= -lo) & (v < 1.0 - lo))
+    slopes = slope_lo + np.concatenate(([0.0], np.cumsum(turns)))
+    f = f_lo + np.concatenate(([0.0], np.cumsum(slopes[:-1] * np.diff(xs))))
+    k = max(int(np.searchsorted(f, 0.0)) - 1, 0)
+    return float(xs[k] - f[k] / slopes[k])
 
 
 def _dual_init(chi, grid, c0):
@@ -160,6 +207,7 @@ def _solve_relaxed_full(chi_prev, tau, p, cfg):
     u = chi.copy()
     y = _dual_init(chi, grid, p.c0)
     u_hat = u
+    shift = 0.0
 
     iters = 0
     converged = False
@@ -169,7 +217,9 @@ def _solve_relaxed_full(chi_prev, tau, p, cfg):
         v = v - v.mean()
         grad_h = -poisson_apply_raw(v, grid) / tau + beta
         kty = grad_forward_adjoint(y, grid)
-        u_hat = _project_box_mass(u - t * (grad_h + kty), mean_target)
+        u_hat, shift = _project_box_mass(
+            u - t * (grad_h + kty), mean_target, shift
+        )
         g = grad_forward(2.0 * u_hat - u, grid)
         y_hat = _clip_dual([y[a] + sigma * g[a] for a in range(grid.d)], p.c0)
 

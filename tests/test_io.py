@@ -314,11 +314,12 @@ class TestCLI:
         assert main(["info", "--config", str(bad)]) == 2
         assert "scenario.kine" in capsys.readouterr().err
 
-    def test_check_poisson_passes(self, capsys, tmp_path):
-        code = main(["check", "poisson", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("suite", ["poisson", "ledger", "consistency"])
+    def test_check_suite_passes(self, capsys, tmp_path, suite):
+        code = main(["check", suite, "--out", str(tmp_path / "o")])
         text = capsys.readouterr().out
         assert code == 0
-        assert "PASS poisson.eigenfunction" in text
+        assert "PASS %s." % suite in text
         assert "FAIL" not in text
 
     def test_stride_thins_ledger(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from mskit.minmov import (
     run_trajectory,
     solve_relaxed,
 )
+from mskit.scenarios import ScenarioSpec, make_initial
 
 from shapes import binary_disk, stripe
 
@@ -43,7 +46,6 @@ def objective(u, anchor, tau, p=P):
 class TestStepConfig:
     def test_defaults_valid(self):
         cfg = StepConfig(h=1e-4)
-        assert cfg.threshold_policy == "mass-quantile"
         assert cfg.interpolant_samples == 0
 
     def test_nonpositive_h(self):
@@ -60,10 +62,6 @@ class TestStepConfig:
         with pytest.raises(ValueError, match="pd_tol"):
             StepConfig(h=1e-4, pd_tol=0.0)
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="threshold policy"):
-            StepConfig(h=1e-4, threshold_policy="otsu")
-
     def test_negative_samples(self):
         with pytest.raises(ValueError, match="interpolant_samples"):
             StepConfig(h=1e-4, interpolant_samples=-1)
@@ -73,6 +71,55 @@ class TestStepConfig:
 # box-and-mass projection
 # ---------------------------------------------------------------------------
 
+def reference_shift_interval(v, frac):
+    """Every root of the clipped sum, by sorting all 2N breakpoints.
+
+    f(s) = sum(clip(v + s, 0, 1)) - N frac is linear between consecutive
+    breakpoints -v_i and 1 - v_i, so evaluating it exactly at each of them
+    and interpolating on the piece that crosses zero gives the roots. They
+    form an interval [a, b], which is wider than a point only where f is
+    flat at zero.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    target = frac * v.size
+    bps = np.unique(np.concatenate((-v, 1.0 - v)))
+    f = np.array([math.fsum(np.clip(v + b, 0.0, 1.0)) - target for b in bps])
+    k = int(np.searchsorted(f, 0.0))
+    if f[k] == 0.0:
+        a = bps[k]
+    else:
+        a = bps[k - 1] - f[k - 1] * (bps[k] - bps[k - 1]) / (f[k] - f[k - 1])
+    j = int(np.searchsorted(f, 0.0, side="right"))
+    b = bps[j - 1] if f[j - 1] == 0.0 else a
+    return a, b
+
+
+@st.composite
+def projection_inputs(draw):
+    """Inputs (v, frac, warm shift) of the box-and-mass projection."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(("spread", "binary_noise", "all_equal")))
+    if kind == "spread":
+        v = np.asarray(draw(st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)))
+    elif kind == "binary_noise":
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        noise = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=n, max_size=n))
+        v = np.asarray(bits, dtype=float) + np.asarray(noise)
+    else:
+        v = np.full(n, draw(st.floats(-2.0, 3.0)))
+    frac = draw(st.floats(0.05, 0.95))
+    lo, hi = -float(v.max()), 1.0 - float(v.min())
+    where = draw(st.sampled_from(("inside", "outside", "far")))
+    if where == "inside":
+        shift = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    elif where == "outside":
+        gap = draw(st.floats(0.0, 0.5))
+        shift = draw(st.sampled_from((lo - gap, hi + gap)))
+    else:
+        shift = draw(st.sampled_from((-1e6, 1e6)))
+    return v, frac, shift
+
+
 class TestProjection:
     @given(
         st.lists(st.floats(-2.0, 3.0), min_size=4, max_size=24),
@@ -81,19 +128,37 @@ class TestProjection:
     @hyp
     def test_feasible_and_closest(self, vals, frac):
         v = np.asarray(vals)
-        u = mv._project_box_mass(v, frac)
+        u, _ = mv._project_box_mass(v, frac, 0.0)
         assert u.min() >= 0.0 and u.max() <= 1.0
         assert abs(float(u.mean()) - frac) <= 1e-9
         # no feasible competitor sits closer to v than the projection
         rng = np.random.default_rng(7)
         for _ in range(4):
-            w = mv._project_box_mass(rng.uniform(-1.0, 2.0, v.size), frac)
+            w, _ = mv._project_box_mass(rng.uniform(-1.0, 2.0, v.size), frac, 0.0)
             assert np.sum((u - v) ** 2) <= np.sum((w - v) ** 2) + 1e-8
+
+    @given(projection_inputs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_sorted_reference(self, inputs):
+        v, frac, shift = inputs
+        a, b = reference_shift_interval(v, frac)
+        u, s = mv._project_box_mass(v, frac, shift)
+        assert a - 1e-12 <= s <= b + 1e-12
+        assert abs(float(u.mean()) - frac) <= 1e-12
+        np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
+
+    def test_warm_start_at_root_is_kept(self):
+        v = np.linspace(-0.4, 1.3, 50)
+        u, s = mv._project_box_mass(v, 0.37, 0.0)
+        u2, s2 = mv._project_box_mass(v, 0.37, s)
+        assert s2 == s
+        np.testing.assert_array_equal(u2, u)
 
     def test_already_feasible_fixed(self):
         v = np.array([0.25, 0.75, 0.5, 0.5])
-        u = mv._project_box_mass(v, 0.5)
+        u, s = mv._project_box_mass(v, 0.5, 0.3)
         assert np.allclose(u, v, atol=1e-9)
+        assert abs(s) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +308,35 @@ class TestMMStep:
         res = mm_step(chi, P, cfg)
         snap = de_giorgi_interpolant(chi, cfg.h, P, cfg)
         np.testing.assert_array_equal(snap.values, res.chi_next.values)
+
+
+# Steps recorded with the bisection projection that the breakpoint solver
+# replaced: an exact projection must repeat the PD iteration count exactly
+# and the relaxed objective to solver tolerance.
+REGRESSION_STEPS = {
+    "two_balls": (
+        dict(kind="two_balls", params=P, step=StepConfig(h=5e-4),
+             centers=((0.30, 0.50), (0.72, 0.50)), radii=(0.18, 0.10)),
+        2260, 0.9519355700404475,
+    ),
+    "stiff_cap": (
+        dict(kind="boundary_cap", params=EnergyParams(1.0, np.pi / 3),
+             step=StepConfig(h=1e-7), centers=((0.5, 0.0),), radii=(0.3,),
+             angle=0.3 * np.pi),
+        8170, 0.8763692979900808,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION_STEPS))
+def test_step_matches_recorded_solve(name):
+    kw, iters, objective = REGRESSION_STEPS[name]
+    spec = ScenarioSpec(name=name, dims=(32, 32), lengths=(1.0, 1.0),
+                        n_steps=1, **kw)
+    res = mm_step(make_initial(spec), spec.params, spec.step)
+    assert res.converged
+    assert res.pd_iters == iters
+    assert abs(res.objective - objective) <= spec.step.pd_tol * max(1.0, objective)
 
 
 # ---------------------------------------------------------------------------
