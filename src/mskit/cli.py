@@ -3,6 +3,7 @@
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,8 +87,6 @@ def _mini_two_balls(n=48):
 
 def _mini_set():
     shipped = {s.name: s for s in default_scenarios(64)}
-    from dataclasses import replace
-
     ball = replace(shipped["ball"], n_steps=2,
                    step=replace(shipped["ball"].step, interpolant_samples=0))
     stripe = replace(shipped["stripe"], n_steps=2)
@@ -252,16 +251,8 @@ CHECKS = {
 def cmd_run(args):
     cfg = load_config(args.config)
     if args.out is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, out_dir=args.out)
-    if args.deterministic:
-        from dataclasses import replace
-
-        cfg = replace(cfg, deterministic=True)
     if args.stride is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, stride=args.stride)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -334,14 +325,12 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a configured scenario")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--deterministic", action="store_true")
     p_run.add_argument("--stride", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=sorted(CHECKS))
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--deterministic", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("report", help="summarize a ledger CSV")

@@ -15,7 +15,6 @@ import numpy as np
 
 from .fields import (
     MeanZeroField,
-    Potential,
     ScalarField,
     VectorField,
     div_adjoint,
@@ -250,7 +249,7 @@ def dissipation_ledger(traj, p, cfg, eps=None, basis=None):
     records = []
     E0 = None
     cum = 0.0
-    zero_w = Potential(grid, np.zeros(grid.shape))
+    zero_w = MeanZeroField(grid, np.zeros(grid.shape))
     for n, chi in enumerate(states):
         br = energy(chi, p)
         slc = interface_measure(chi, eps)

@@ -135,9 +135,6 @@ class MeanZeroField(ScalarField):
             )
 
 
-Potential = MeanZeroField
-
-
 class VectorField:
     """d scalar components on a common grid.
 
@@ -171,10 +168,6 @@ class VectorField:
 def require_same_grid(a, b):
     if a.domain != b.domain:
         raise ValueError("domain mismatch between fields")
-
-
-def integrate(f):
-    return f.integral()
 
 
 def l2_inner(f, g):
@@ -266,7 +259,7 @@ def neumann_solve(F):
     grid = F.domain
     u = poisson_apply_raw(F.values, grid)
     u = u - u.mean()
-    return Potential(grid, u)
+    return MeanZeroField(grid, u)
 
 
 def h1_inner(u, v):

@@ -7,6 +7,8 @@ and compares the resulting difference quotients against the first
 variation and the dual-metric velocity norm computed directly.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ from .energy import (
 from .diagnostics import construct_xi
 
 _INVERSE_MAX_ITERS = 50
+_MASS_BISECT_STEPS = 80
 _SUPERSAMPLE = 4
 _CFL_FRACTION = 0.1
 _MASS_TOL_FRACTION = 1e-9
@@ -31,54 +34,51 @@ _MEMBER_TOL = 1e-8
 DEFAULT_S_FRACTIONS = (0.08, 0.04, 0.02, 0.01)
 
 
-def _reflect(i, n, odd):
-    """Fold out-of-range cell indices back by face reflection.
+def _interp_vector(components, grid, pts):
+    """Multilinear interpolation of a vector field at points.
 
-    Returns (index, sign); with odd=True each fold flips the sign, which
-    extends a field vanishing on the face.
-    """
-    k = np.mod(i, 2 * n)
-    hi = k >= n
-    idx = np.where(hi, 2 * n - 1 - k, k)
-    if odd:
-        return idx, np.where(hi, -1.0, 1.0)
-    return idx, None
-
-
-def _interp_component(comp, grid, pts, odd_axis):
-    """Multilinear interpolation of one vector component at points.
-
-    pts is a list of per-axis coordinate arrays (any common shape). The
+    pts is a list of per-axis coordinate arrays (any common shape). Each
     component reflects oddly across the faces it is normal to and evenly
-    across the others, so the interpolant vanishes on its own walls.
+    across the others, so the interpolant vanishes on its own walls. The
+    cell stencil is computed once and shared by all components.
     """
     d = grid.d
-    base, frac = [], []
+    h = grid.spacing
+    frac, flat, signs = [], [], []
     for b in range(d):
-        t = pts[b] / grid.spacing[b] - 0.5
-        i = np.floor(t).astype(np.int64)
-        base.append(i)
-        frac.append(t - i)
-    out = np.zeros(np.shape(pts[0]))
+        n = grid.dims[b]
+        stride = math.prod(grid.dims[b + 1:])
+        t = pts[b] / h[b] - 0.5
+        base = np.floor(t)
+        f = t - base
+        frac.append((1.0 - f, f))
+        i = base.astype(np.int64)
+        beyond = i.size > 0 and (i.min() < -n or i.max() + 1 >= 2 * n)
+        offsets, flips = [], []
+        for j in (i, i + 1):
+            # fold into the box by face reflection: np.mod first only when
+            # some index lies beyond one fold, then mirror the low face and
+            # the high face; every folded index flips the odd sign
+            if beyond:
+                j = np.mod(j, 2 * n)
+            idx = np.where(j < 0, -1 - j, j)
+            idx = np.minimum(idx, 2 * n - 1 - idx)
+            flips.append(np.where(idx != j, -1.0, 1.0))
+            offsets.append(idx * stride)
+        flat.append(offsets)
+        signs.append(flips)
+    out = [np.zeros(np.shape(pts[0])) for _ in range(d)]
     for corner in range(2 ** d):
+        bits = [(corner >> b) & 1 for b in range(d)]
         w = 1.0
-        sign = 1.0
-        gather = []
+        offset = 0
         for b in range(d):
-            bit = (corner >> b) & 1
-            jb, sb = _reflect(base[b] + bit, grid.dims[b], odd=(b == odd_axis))
-            gather.append(jb)
-            w = w * (frac[b] if bit else 1.0 - frac[b])
-            if sb is not None:
-                sign = sign * sb
-        out += w * sign * comp[tuple(gather)]
+            w = w * frac[b][bits[b]]
+            offset = offset + flat[b][bits[b]]
+        for a in range(d):
+            sign = signs[a][bits[a]]
+            out[a] += w * sign * np.take(components[a], offset)
     return out
-
-
-def _velocity_at(B, grid, pts):
-    return [
-        _interp_component(B.components[a], grid, pts, a) for a in range(grid.d)
-    ]
 
 
 def _cell_center_mesh(grid):
@@ -97,11 +97,12 @@ def _flow_displacement(B, grid, s):
     speed = B.max_norm()
     n_sub = max(1, int(np.ceil(abs(s) * speed / (_CFL_FRACTION * min(grid.spacing)))))
     dt = s / n_sub
+    comps = B.components
     for _ in range(n_sub):
-        k1 = _velocity_at(B, grid, X)
-        k2 = _velocity_at(B, grid, [X[a] + 0.5 * dt * k1[a] for a in range(grid.d)])
-        k3 = _velocity_at(B, grid, [X[a] + 0.5 * dt * k2[a] for a in range(grid.d)])
-        k4 = _velocity_at(B, grid, [X[a] + dt * k3[a] for a in range(grid.d)])
+        k1 = _interp_vector(comps, grid, X)
+        k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
+        k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)])
+        k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)])
         for a in range(grid.d):
             X[a] += dt / 6.0 * (k1[a] + 2 * k2[a] + 2 * k3[a] + k4[a])
     return VectorField(
@@ -110,23 +111,27 @@ def _flow_displacement(B, grid, s):
 
 
 def _inverse_displacement(disp, grid):
-    """Displacement of the inverse map by fixed-point iteration."""
+    """Displacement of the inverse map by fixed-point iteration.
+
+    Raises ValueError if the iteration cap is reached before the update
+    falls below the tolerance.
+    """
     centers = _cell_center_mesh(grid)
     dinv = [np.zeros(grid.shape) for _ in range(grid.d)]
     tol = 1e-8 * min(grid.spacing)
     for _ in range(_INVERSE_MAX_ITERS):
         pts = [centers[a] + dinv[a] for a in range(grid.d)]
-        fwd = [
-            _interp_component(disp.components[a], grid, pts, a)
-            for a in range(grid.d)
-        ]
+        fwd = _interp_vector(disp.components, grid, pts)
         delta = max(
             float(np.max(np.abs(-fwd[a] - dinv[a]))) for a in range(grid.d)
         )
         dinv = [-fwd[a] for a in range(grid.d)]
         if delta <= tol:
-            break
-    return VectorField(grid, dinv, tangential=True)
+            return VectorField(grid, dinv, tangential=True)
+    raise ValueError(
+        "inverse flow map did not converge in %d iterations: "
+        "delta %.3e vs tol %.3e" % (_INVERSE_MAX_ITERS, delta, tol)
+    )
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,7 @@ class FlowMap:
 
     def forward_points(self, pts):
         grid = self.domain
-        off = [
-            _interp_component(self.displacement.components[a], grid, pts, a)
-            for a in range(grid.d)
-        ]
+        off = _interp_vector(self.displacement.components, grid, pts)
         return [pts[a] + off[a] for a in range(grid.d)]
 
     def inverse_points(self, pts):
@@ -154,18 +156,10 @@ class FlowMap:
         interpolation bias of the gridded field.
         """
         grid = self.domain
-        off = [
-            _interp_component(
-                self.inverse_displacement.components[a], grid, pts, a
-            )
-            for a in range(grid.d)
-        ]
+        off = _interp_vector(self.inverse_displacement.components, grid, pts)
         out = [pts[a] + off[a] for a in range(grid.d)]
         for _ in range(3):
-            fwd = [
-                _interp_component(self.displacement.components[a], grid, out, a)
-                for a in range(grid.d)
-            ]
+            fwd = _interp_vector(self.displacement.components, grid, out)
             out = [pts[a] - fwd[a] for a in range(grid.d)]
         return out
 
@@ -212,8 +206,6 @@ def _pullback(chi, maps):
     centers = _cell_center_mesh(grid)
     offs = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
     acc = np.zeros(grid.shape)
-    import itertools
-
     for shift in itertools.product(offs, repeat=grid.d):
         pts = [
             centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)
@@ -260,7 +252,8 @@ def flow_deform(chi, B, s, mass_correct=True):
     Returns the flow map and the deformed field (cell averages in [0,1]).
     With mass_correct the map is composed with a flow along the volume
     pairing direction, its parameter found by bisection, so the deformed
-    mass matches m0 to a fixed fraction of the domain volume.
+    mass matches m0 to a fixed fraction of the domain volume; if the
+    bisection ends short of that tolerance, ValueError is raised.
     """
     grid = chi.domain
     _require_member(chi, B)
@@ -300,7 +293,7 @@ def flow_deform(chi, B, s, mass_correct=True):
         if grow > 40:
             raise ValueError("mass correction failed to bracket the target")
     best = (v_lo, map_lo) if abs(m_lo - chi.m0) < abs(m_hi - chi.m0) else (v_hi, map_hi)
-    for _ in range(80):
+    for _ in range(_MASS_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         m_mid, v_mid, map_mid = mass_at(mid)
         if abs(m_mid - chi.m0) < abs(best[0].mean() * grid.volume - chi.m0):
@@ -312,6 +305,12 @@ def flow_deform(chi, B, s, mass_correct=True):
         else:
             hi, m_hi = mid, m_mid
     vals, cmap = best
+    drift = float(vals.mean()) * grid.volume - chi.m0
+    if abs(drift) > mass_tol:
+        raise ValueError(
+            "mass correction did not converge in %d bisection steps: "
+            "drift %.3e vs mass_tol %.3e" % (_MASS_BISECT_STEPS, drift, mass_tol)
+        )
 
     centers = _cell_center_mesh(grid)
     fwd = cmap.forward_points(fmap.forward_points(centers))

@@ -50,7 +50,6 @@ KNOWN_KEYS = {
     "diagnostics.ledger": "bool",
     "diagnostics.snapshots": "bool",
     "output.dir": str,
-    "run.deterministic": "bool",
     "run.stride": int,
 }
 
@@ -67,7 +66,6 @@ class RunConfig:
     ledger: bool = True
     snapshots: bool = True
     out_dir: str = "out"
-    deterministic: bool = False
     stride: int = 1
 
     def __post_init__(self):
@@ -188,7 +186,6 @@ def config_from_values(values):
         ledger=values.get("diagnostics.ledger", True),
         snapshots=values.get("diagnostics.snapshots", True),
         out_dir=values.get("output.dir", "out"),
-        deterministic=values.get("run.deterministic", False),
         stride=values.get("run.stride", 1),
     )
 
@@ -241,7 +238,6 @@ def echo_config(cfg):
         "diagnostics.ledger = %s" % str(cfg.ledger).lower(),
         "diagnostics.snapshots = %s" % str(cfg.snapshots).lower(),
         "output.dir = %s" % cfg.out_dir,
-        "run.deterministic = %s" % str(cfg.deterministic).lower(),
         "run.stride = %d" % cfg.stride,
     ]
     return "\n".join(lines) + "\n"

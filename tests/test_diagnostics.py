@@ -25,7 +25,6 @@ from mskit.energy import (
 )
 from mskit.fields import (
     MeanZeroField,
-    Potential,
     VectorField,
     h1_inner,
     hminus_norm_sq,
@@ -116,7 +115,7 @@ class TestMetricSlopes:
     def test_potential_slope_is_half_dirichlet(self):
         g = grid2(32)
         X, _ = g.meshes()
-        w = Potential(g, np.cos(np.pi * X) - float(np.cos(np.pi * X).mean()))
+        w = MeanZeroField(g, np.cos(np.pi * X) - float(np.cos(np.pi * X).mean()))
         assert metric_slope_potential(w) == pytest.approx(0.5 * h1_inner(w, w))
 
     def test_variational_needs_member_fields(self):
@@ -186,7 +185,7 @@ class TestConstructXi:
 class TestMultiplier:
     def test_disk_multiplier_matches_curvature(self, disk128):
         chi, slc, xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         assert 3.6 <= lam <= 4.4  # 1/R for R = 0.25
 
@@ -195,14 +194,14 @@ class TestMultiplier:
         chi = shapes.stripe(g)
         slc = interface_measure(chi, 4.0 / 128)
         xi = construct_xi(chi, 4.0 / 128)
-        zw = Potential(g, np.zeros(g.shape))
+        zw = MeanZeroField(g, np.zeros(g.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         assert abs(lam) <= 0.05
 
     def test_degenerate_normalizer(self, disk128):
         chi, slc, _xi = disk128
         rot = default_tangential_fields(chi.domain)[7]
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         with pytest.raises(ValueError, match="degenerate"):
             lagrange_multiplier(chi, slc, zw, rot, P90)
 
@@ -210,7 +209,7 @@ class TestMultiplier:
         # |lambda| <= C (1 + TV)(slice mass + |grad w|_2) with C pinned
         # from this suite's own states
         chi, slc, xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         tv = energy(chi, P90).bulk / P90.c0
         mass = (
@@ -225,7 +224,7 @@ class TestGibbsThomson:
         chi = shapes.stripe(g)
         slc = interface_measure(chi, 4.0 / 128)
         xi = construct_xi(chi, 4.0 / 128)
-        zw = Potential(g, np.zeros(g.shape))
+        zw = MeanZeroField(g, np.zeros(g.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         basis = default_tangential_fields(g, count=6)
         assert gibbs_thomson_residual(chi, slc, zw, lam, P90, basis) <= 1e-12
@@ -235,12 +234,12 @@ class TestGibbsThomson:
         chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
         slc = interface_measure(chi, 4.0 / 64)
         xi = construct_xi(chi, 4.0 / 64)
-        zw = Potential(g, np.zeros(g.shape))
+        zw = MeanZeroField(g, np.zeros(g.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         basis = default_tangential_fields(g, count=6)
         matched = gibbs_thomson_residual(chi, slc, zw, lam, P90, basis)
         X, Y = g.meshes()
-        wbad = Potential(g, 2.0 * np.cos(3 * np.pi * X) * np.cos(2 * np.pi * Y))
+        wbad = MeanZeroField(g, 2.0 * np.cos(3 * np.pi * X) * np.cos(2 * np.pi * Y))
         bad = gibbs_thomson_residual(chi, slc, wbad, lam, P90, basis)
         assert bad > 10.0 * matched
 
@@ -249,13 +248,13 @@ class TestGibbsThomson:
         chi64 = shapes.binary_disk(g64, (0.5, 0.5), 0.25)
         slc64 = interface_measure(chi64, 4.0 / 64)
         xi64 = construct_xi(chi64, 4.0 / 64)
-        zw64 = Potential(g64, np.zeros(g64.shape))
+        zw64 = MeanZeroField(g64, np.zeros(g64.shape))
         lam64 = lagrange_multiplier(chi64, slc64, zw64, xi64, P90)
         gt64 = gibbs_thomson_residual(
             chi64, slc64, zw64, lam64, P90, default_tangential_fields(g64, count=6)
         )
         chi, slc, xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         gt128 = gibbs_thomson_residual(
             chi, slc, zw, lam, P90, default_tangential_fields(chi.domain, count=6)
@@ -265,7 +264,7 @@ class TestGibbsThomson:
     def test_basis_must_be_tangential(self, disk128):
         chi, slc, _xi = disk128
         g = chi.domain
-        zw = Potential(g, np.zeros(g.shape))
+        zw = MeanZeroField(g, np.zeros(g.shape))
         raw = VectorField(g, (np.ones(g.dims), np.zeros(g.dims)), tangential=False)
         with pytest.raises(ValueError, match="tangential"):
             gibbs_thomson_residual(chi, slc, zw, 0.0, P90, [raw])
@@ -274,7 +273,7 @@ class TestGibbsThomson:
 class TestCurvatureField:
     def test_disk_band_mean(self, disk128):
         chi, slc, xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         cf = curvature_field(zw, lam, P90.c0, slc)
         band = cf.values[cf.values != 0.0]
@@ -285,7 +284,7 @@ class TestCurvatureField:
         chi = shapes.stripe(g)
         slc = interface_measure(chi, 4.0 / 128)
         xi = construct_xi(chi, 4.0 / 128)
-        zw = Potential(g, np.zeros(g.shape))
+        zw = MeanZeroField(g, np.zeros(g.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
         cf = curvature_field(zw, lam, P90.c0, slc)
         band = cf.values[slc.density.values > 0.1 * slc.density.values.max()]
@@ -293,13 +292,13 @@ class TestCurvatureField:
 
     def test_zero_inputs_zero_field(self, disk128):
         chi, slc, _xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         cf = curvature_field(zw, 0.0, 1.0, slc)
         assert np.max(np.abs(cf.values)) == 0.0
 
     def test_masked_outside_band(self, disk128):
         chi, slc, xi = disk128
-        zw = Potential(chi.domain, np.zeros(chi.domain.shape))
+        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         cf = curvature_field(zw, 4.0, 1.0, slc)
         off = slc.density.values <= 0.1 * slc.density.values.max()
         assert np.max(np.abs(cf.values[off])) == 0.0

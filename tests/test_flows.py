@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mskit import flows
 from mskit.energy import (
     EnergyParams,
     constraint_integral,
@@ -10,6 +12,7 @@ from mskit.energy import (
 )
 from mskit.fields import MeanZeroField, VectorField, hminus_norm_sq, make_grid
 from mskit.flows import (
+    _interp_vector,
     _pullback,
     construct_xi,
     difference_quotient_slope,
@@ -69,6 +72,97 @@ def dictionary64(disk64):
 def member64(disk64, dictionary64):
     xi = construct_xi(disk64, 4.0 / 64)
     return project_to_S_chi(dictionary64[1], disk64, xi)
+
+
+def _reflect_reference(i, n, odd):
+    """Per-component fold of the original interpolation, kept as the oracle."""
+    k = np.mod(i, 2 * n)
+    hi = k >= n
+    idx = np.where(hi, 2 * n - 1 - k, k)
+    if odd:
+        return idx, np.where(hi, -1.0, 1.0)
+    return idx, None
+
+
+def _interp_component_reference(comp, grid, pts, odd_axis):
+    """One component at a time, every corner refolding every axis."""
+    d = grid.d
+    base, frac = [], []
+    for b in range(d):
+        t = pts[b] / grid.spacing[b] - 0.5
+        i = np.floor(t).astype(np.int64)
+        base.append(i)
+        frac.append(t - i)
+    out = np.zeros(np.shape(pts[0]))
+    for corner in range(2 ** d):
+        w = 1.0
+        sign = 1.0
+        gather = []
+        for b in range(d):
+            bit = (corner >> b) & 1
+            jb, sb = _reflect_reference(
+                base[b] + bit, grid.dims[b], odd=(b == odd_axis)
+            )
+            gather.append(jb)
+            w = w * (frac[b] if bit else 1.0 - frac[b])
+            if sb is not None:
+                sign = sign * sb
+        out += w * sign * comp[tuple(gather)]
+    return out
+
+
+@st.composite
+def interpolation_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    dims = tuple(draw(st.integers(8, 13)) for _ in range(d))
+    lengths = tuple(draw(st.sampled_from((0.5, 1.0, 1.7))) for _ in range(d))
+    # how far, in box lengths, points may lie beyond the faces: 0.5 stays
+    # within one reflection, 4.0 needs several folds
+    reach = draw(st.sampled_from((0.0, 0.5, 4.0)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return d, dims, lengths, reach, seed
+
+
+class TestInterpolation:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(interpolation_cases())
+    def test_bit_identical_to_per_component_reference(self, case):
+        d, dims, lengths, reach, seed = case
+        grid = make_grid(d, dims, lengths)
+        rng = np.random.default_rng(seed)
+        comps = [rng.standard_normal(dims) for _ in range(d)]
+        pts = []
+        for L in lengths:
+            x = rng.uniform(-reach * L, (1.0 + reach) * L, 48)
+            x[:4] = (0.0, L, 0.0, L)  # on the faces
+            pts.append(rng.permutation(x).reshape(6, 8))
+        out = _interp_vector(comps, grid, pts)
+        for a in range(d):
+            ref = _interp_component_reference(comps[a], grid, pts, a)
+            assert out[a].shape == ref.shape
+            assert np.array_equal(out[a], ref)
+
+    def test_empty_points(self):
+        g = make_grid(2, (8, 8), (1.0, 1.0))
+        comps = [np.ones(g.dims), np.ones(g.dims)]
+        out = _interp_vector(comps, g, [np.zeros(0), np.zeros(0)])
+        assert [o.shape for o in out] == [(0,), (0,)]
+
+
+class TestSolverFailures:
+    def test_inverse_iteration_cap_raises(self, disk64, member64, monkeypatch):
+        monkeypatch.setattr(flows, "_INVERSE_MAX_ITERS", 2)
+        with pytest.raises(
+            ValueError, match=r"did not converge in 2 iterations: delta .* vs tol"
+        ):
+            flow_deform(disk64, member64, 0.04, mass_correct=False)
+
+    def test_mass_bisection_cap_raises(self, disk64, member64, monkeypatch):
+        monkeypatch.setattr(flows, "_MASS_BISECT_STEPS", 1)
+        with pytest.raises(
+            ValueError, match=r"in 1 bisection steps: drift .* vs mass_tol"
+        ):
+            flow_deform(disk64, member64, 0.04)
 
 
 class TestProjection:

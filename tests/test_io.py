@@ -37,7 +37,6 @@ class TestConfigGrammar:
         assert cfg.scenario.dims == (128, 128)
         assert cfg.scenario.radii == (0.25,)
         assert cfg.stride == 1
-        assert not cfg.deterministic
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\nscenario.kind = stripe  # trailing\n"
@@ -264,9 +263,7 @@ def run_dir(tmp_path_factory):
         "step.interpolant_samples = 0\n"
     )
     out = cfgdir / "out"
-    code = main([
-        "run", "--config", str(cfg), "--out", str(out), "--deterministic",
-    ])
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
     return code, cfg, out
 
 
@@ -287,9 +284,7 @@ class TestCLI:
     def test_repeat_run_byte_identical(self, run_dir, tmp_path):
         _, cfg, out = run_dir
         out2 = tmp_path / "out2"
-        code = main([
-            "run", "--config", str(cfg), "--out", str(out2), "--deterministic",
-        ])
+        code = main(["run", "--config", str(cfg), "--out", str(out2)])
         assert code == 0
         a = open(out / "ledger.csv", "rb").read()
         b = open(out2 / "ledger.csv", "rb").read()
@@ -314,7 +309,17 @@ class TestCLI:
         assert main(["info", "--config", str(bad)]) == 2
         assert "scenario.kine" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["poisson", "ledger", "consistency"])
+    @pytest.mark.parametrize("suite", [
+        "poisson",
+        "ledger",
+        "consistency",
+        pytest.param("flows", marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="known defect: flows.quotient_monotone fails, r(s) rises "
+                   "as s shrinks (0.0135, 0.0150, 0.0177, 0.0258)",
+        )),
+    ])
     def test_check_suite_passes(self, capsys, tmp_path, suite):
         code = main(["check", suite, "--out", str(tmp_path / "o")])
         text = capsys.readouterr().out
