@@ -1,12 +1,13 @@
-"""Potentials, metric slopes, multipliers, and the dissipation ledger.
+"""Transfer potentials, multipliers, and the dissipation ledger.
 
-The transfer potential of a partial step solves the Neumann problem with
-source (chi_bar - chi_anchor)/tau; half its Dirichlet energy is the
-squared-slope surrogate entering the sharp dissipation bookkeeping.
-Lagrange multipliers for the mass constraint come from pairing the
-interface first variation with a constructed wall-tangential direction
-field, and the relative entropy measures how far the interface measure
-is from a unit reference direction field.
+The transfer potential w of a partial step of length tau solves the Neumann
+problem with source (chi_bar - chi_anchor)/tau. Its Dirichlet energy is the
+squared velocity of a step and, sampled at the De Giorgi interpolants, the
+squared slope in the sharp dissipation bookkeeping of the ledger. Lagrange
+multipliers for the mass constraint come from pairing the interface first
+variation with a constructed wall-tangential direction field. The slope's
+descent form over a dictionary of admissible directions is
+metric_slope_variational.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,7 @@ import numpy as np
 
 from .fields import (
     MeanZeroField,
-    ScalarField,
     VectorField,
-    div_adjoint,
     div_mirror,
     grad_centered,
     h1_inner,
@@ -90,11 +89,6 @@ def potential_w(chi_bar, chi_anchor, tau):
     return neumann_solve(MeanZeroField(grid, src))
 
 
-def metric_slope_potential(w):
-    """Half the Dirichlet energy of the transfer potential."""
-    return 0.5 * h1_inner(w, w)
-
-
 def metric_slope_variational(chi, slc, p, fields):
     """Best descent estimate over a dictionary of admissible directions.
 
@@ -165,48 +159,6 @@ def gibbs_thomson_residual(chi, slc, w, lam, p, basis):
         resid = abs(first_variation(slc, B, p) - pair)
         worst = max(worst, resid / (1.0 + B.max_norm() + _c1_seminorm(B, grid)))
     return worst
-
-
-def curvature_field(w, lam, c0, slc):
-    """Generalized curvature (w + lambda)/c0 on the interface band."""
-    dens = slc.density.values
-    mask = dens > 0.1 * float(dens.max())
-    vals = np.where(mask, (w.values + lam) / c0, 0.0)
-    return ScalarField(slc.domain, vals)
-
-
-def relative_entropy(chi, slc, reference_xi, p):
-    """Interface energy against the pairing with a unit direction field.
-
-    The pairing uses the same mollified phase the slice was built from,
-    integrated against the flux-free adjoint divergence; cell by cell the
-    sum then dominates both zero and the tilt excess whenever the
-    reference field has length at most one, which is enforced here.
-    """
-    grid = chi.domain
-    require_same_grid(chi, slc.density)
-    if reference_xi.max_norm() > 1.0 + 1e-12:
-        raise ValueError("reference direction field exceeds unit length")
-    smoothed = mollify(chi.values, grid, slc.epsilon)
-    div = div_adjoint(list(reference_xi.components), grid)
-    pairing = float(np.sum(smoothed * div)) * grid.cell_volume
-    return slc.slice_energy(p).total + p.c0 * pairing
-
-
-def tilt_excess(slc, reference_xi, p):
-    """Quadratic misalignment of slice normals against the reference field."""
-    n = slc.normal.components
-    sq = sum(
-        (n[a] - reference_xi.components[a]) ** 2 for a in range(slc.domain.d)
-    )
-    return 0.5 * p.c0 * float(np.sum(sq * slc.density.values)) * slc.domain.cell_volume
-
-
-def reference_normal_field(slc):
-    """Mollified slice normals: a unit-capped matched reference direction."""
-    grid = slc.domain
-    comps = [mollify(c, grid, slc.epsilon) for c in slc.normal.components]
-    return VectorField(grid, comps, tangential=True)
 
 
 def _slope_from_samples(chi_anchor, samples, h, vel_sq):

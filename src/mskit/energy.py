@@ -30,45 +30,16 @@ NORMAL_FLOOR = 1e-8
 PHASE_MASS_RTOL = 1e-8
 
 
-def young_angle(c0, gamma_plus, gamma_minus):
-    """Contact angle from the wall tension difference.
-
-    The two wall tensions may be given in either role; the angle is
-    normalized into (0, pi/2] by relabeling the phases when needed.
-    """
-    if c0 <= 0:
-        raise ValueError("surface tension c0 must be positive")
-    diff = abs(gamma_plus - gamma_minus)
-    if diff >= c0:
-        raise ValueError(
-            "Young's relation violated: |gamma difference| %.6g >= c0 %.6g"
-            % (diff, c0)
-        )
-    return math.acos(diff / c0)
-
-
 @dataclass(frozen=True)
 class EnergyParams:
     c0: float
     alpha: float
-    gamma_plus: float = None
-    gamma_minus: float = None
 
     def __post_init__(self):
         if self.c0 <= 0:
             raise ValueError("surface tension c0 must be positive")
         if not (0.0 < self.alpha <= np.pi / 2):
             raise ValueError("contact angle must lie in (0, pi/2]")
-        if (self.gamma_plus is None) != (self.gamma_minus is None):
-            raise ValueError("give both wall tensions or neither")
-        if self.gamma_plus is not None:
-            diff = abs(self.gamma_plus - self.gamma_minus)
-            if diff >= self.c0:
-                raise ValueError("Young's relation violated by wall tensions")
-            if abs(math.cos(self.alpha) * self.c0 - diff) > 1e-12:
-                raise ValueError(
-                    "wall tensions inconsistent with the stated contact angle"
-                )
 
     @property
     def cos_alpha(self):
@@ -254,19 +225,6 @@ def velocity_pairing_field(chi, B):
     for a in range(chi.domain.d):
         out += B.components[a] * grads[a]
     return out
-
-
-def pair_velocity(chi, B, u):
-    """-integral of chi times div(u B), via the direct mirrored divergence.
-
-    This is the distributional action of the interface velocity on a test
-    potential; with a wall-tangential B the wall flux vanishes and the value
-    matches the pairing-field quadrature up to stencil error.
-    """
-    grid = chi.domain
-    flux = [u.values * c for c in B.components]
-    div = div_mirror(flux, grid, tangential=B.tangential)
-    return -float(np.sum(chi.values * div)) * grid.cell_volume
 
 
 def constraint_integral(chi, B):

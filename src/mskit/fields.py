@@ -9,10 +9,10 @@ makes the Poisson solve, the H1 inner product of potentials and the duality
 between source and potential exact up to roundoff, which the verification
 layers rely on.
 
-Real-space difference operators (forward, centered, and their exact
-adjoints) are kept separate from the spectral calculus: they serve the
-total-variation energy and the varifold diagnostics, where staircase fields
-make spectral differentiation useless.
+Real-space difference operators (forward with its exact adjoint, and
+centered with reflected ghosts) are kept separate from the spectral
+calculus: they serve the total-variation energy and the varifold
+diagnostics, where staircase fields make spectral differentiation useless.
 """
 
 from dataclasses import dataclass
@@ -168,11 +168,6 @@ class VectorField:
 def require_same_grid(a, b):
     if a.domain != b.domain:
         raise ValueError("domain mismatch between fields")
-
-
-def l2_inner(f, g):
-    require_same_grid(f, g)
-    return float(np.sum(f.values * g.values)) * f.domain.cell_volume
 
 
 def project_mean_zero(f):
@@ -373,27 +368,6 @@ def d_centered(values, axis, grid, ghost="even"):
     return (padded[tuple(up)] - padded[tuple(lo)]) / (2.0 * h)
 
 
-def d_centered_adjoint(values, axis, grid):
-    """Exact transpose of d_centered(..., ghost="even")."""
-    h = grid.spacing[axis]
-    n = grid.dims[axis]
-
-    def sl(lo, hi):
-        s = [slice(None)] * grid.d
-        s[axis] = slice(lo, hi)
-        return tuple(s)
-
-    out = np.zeros(grid.shape)
-    # interior columns of the transpose: (p_{j-1} - p_{j+1}) / 2h
-    out[sl(1, n)] += values[sl(0, n - 1)]
-    out[sl(0, n - 1)] -= values[sl(1, n)]
-    # boundary rows of d_centered fold the mirrored ghost back onto the
-    # first and last slice, which shows up as a diagonal correction here.
-    out[sl(0, 1)] -= values[sl(0, 1)]
-    out[sl(n - 1, n)] += values[sl(n - 1, n)]
-    return out / (2.0 * h)
-
-
 def grad_centered(values, grid):
     return [d_centered(values, a, grid) for a in range(grid.d)]
 
@@ -408,19 +382,6 @@ def div_mirror(components, grid, tangential=False):
     out = np.zeros(grid.shape)
     for a in range(grid.d):
         out += d_centered(components[a], a, grid, ghost=ghost)
-    return out
-
-
-def div_adjoint(components, grid):
-    """Divergence defined as the negative transpose of grad_centered.
-
-    Summation by parts then holds without any boundary term, which the
-    structural inequalities of the diagnostics rely on. Coincides with the
-    centered stencil away from the walls.
-    """
-    out = np.zeros(grid.shape)
-    for a in range(grid.d):
-        out -= d_centered_adjoint(components[a], a, grid)
     return out
 
 

@@ -6,13 +6,12 @@ to a small self-describing binary format (magic, version, dims, lengths,
 payload) that round-trips bit for bit.
 """
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import Ledger, StepRecord
-from .energy import EnergyParams, PhaseField
+from .energy import EnergyParams
 from .fields import ScalarField, make_grid
 from .minmov import StepConfig
 from .scenarios import KINDS, ScenarioSpec, default_scenarios

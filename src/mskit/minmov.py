@@ -11,9 +11,13 @@ The projection is a continuous quadratic knapsack, solved exactly by a
 breakpoint method warm started from the previous iteration's shift
 (Kiwiel 2008), so each PD iteration pays for about two clipped sums.
 
-Running the same construction with a shorter penalty time tau in (0, h]
-yields the variational interpolants that the dissipation diagnostics
-sample between consecutive states.
+One private body, _step, runs solve, threshold and binary selection at a
+penalty time tau. mm_step is its tau = h face and returns the step record;
+de_giorgi_interpolant is its tau in (0, h] face and returns the variational
+interpolant that the dissipation ledger samples between consecutive states,
+so the tau = h sample reproduces the step output bit for bit.
+run_trajectory iterates the steps and raises when a solve hits its
+iteration cap.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +50,6 @@ class StepConfig:
     h: float
     pd_max_iters: int = 40000
     pd_tol: float = 1e-5
-    relaxed_output: bool = False
     interpolant_samples: int = 0
 
     def __post_init__(self):
@@ -62,7 +65,7 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Inner-solver bookkeeping attached to relaxed outputs."""
+    """Inner-solver bookkeeping of one relaxed solve."""
 
     iters: int
     converged: bool
@@ -72,7 +75,6 @@ class SolveInfo:
 @dataclass(frozen=True)
 class StepResult:
     chi_next: PhaseField
-    relaxed: PhaseField
     objective: float
     relaxation_gap: float
     pd_iters: int
@@ -85,7 +87,6 @@ class Trajectory:
     h: float
     steps: list = field(default_factory=list)
     interpolant_snapshots: list = field(default_factory=list)
-    aborted: bool = False
 
     def states(self):
         out = [self.chi0]
@@ -96,10 +97,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return len(self.steps)
-
-    @property
-    def final_time(self):
-        return self.n_steps * self.h
 
 
 def _project_box_mass(v, mean_target, shift):
@@ -185,14 +182,17 @@ def _clip_dual(ys, c0):
     return [y * factor for y in ys]
 
 
-def _solve_relaxed_full(chi_prev, tau, p, cfg):
+def _solve_relaxed(chi_prev, tau, p, cfg):
     """Primal-dual iteration for the relaxed movement-penalized problem.
 
+    Returns the relaxed minimizer at penalty time tau and its SolveInfo.
     Works in objective-density units (energies divided by the domain
     volume) so the step sizes are resolution-independent scalars. The
     nonlocal penalty enters through its gradient, one inverse-Laplacian
     apply per iteration, which is exact in the cosine basis.
     """
+    if not tau > 0:
+        raise ValueError("penalty time tau must be positive")
     grid = chi_prev.domain
     chi = chi_prev.values
     mean_target = chi_prev.m0 / grid.volume
@@ -253,19 +253,6 @@ def _solve_relaxed_full(chi_prev, tau, p, cfg):
     return out, info
 
 
-def solve_relaxed(chi_prev, tau, p, cfg):
-    """Relaxed minimizer of energy + movement penalty at penalty time tau.
-
-    The returned field carries the solver record in its `pd_info`
-    attribute (iterations, convergence flag, final relative residual).
-    """
-    if tau <= 0:
-        raise ValueError("penalty time tau must be positive")
-    out, info = _solve_relaxed_full(chi_prev, tau, p, cfg)
-    out.pd_info = info
-    return out
-
-
 def mass_threshold(u):
     """Binary field matching the mass target by rank selection.
 
@@ -316,20 +303,30 @@ def _select_binary(cand, anchor, tau, p):
     return anchor, obj_anchor
 
 
+def _step(chi_anchor, tau, p, cfg):
+    """Relaxed solve at penalty time tau, mass threshold, binary selection.
+
+    Returns (chi_next, binary objective, relaxed minimizer, SolveInfo).
+    """
+    relaxed, info = _solve_relaxed(chi_anchor, tau, p, cfg)
+    chi_next, obj_binary = _select_binary(
+        mass_threshold(relaxed), chi_anchor, tau, p
+    )
+    return chi_next, obj_binary, relaxed, info
+
+
 def mm_step(chi_prev, p, cfg):
-    """One implicit step: relaxed solve at tau = h, then mass threshold.
+    """One implicit step: _step at tau = h.
 
     The binary output is the better of the thresholded candidate and
     chi_prev itself, measured by the full movement-penalized objective;
-    see _select_binary.
+    see _select_binary. The relaxation gap is the binary objective minus
+    the relaxed one.
     """
-    relaxed, info = _solve_relaxed_full(chi_prev, cfg.h, p, cfg)
-    cand = mass_threshold(relaxed)
-    chi_next, obj_binary = _select_binary(cand, chi_prev, cfg.h, p)
+    chi_next, obj_binary, relaxed, info = _step(chi_prev, cfg.h, p, cfg)
     obj_relaxed = _objective(relaxed, chi_prev, cfg.h, p)
     return StepResult(
         chi_next=chi_next,
-        relaxed=relaxed,
         objective=obj_relaxed,
         relaxation_gap=obj_binary - obj_relaxed,
         pd_iters=info.iters,
@@ -338,26 +335,29 @@ def mm_step(chi_prev, p, cfg):
 
 
 def de_giorgi_interpolant(chi_anchor, tau, p, cfg):
-    """State after a partial step of length tau in (0, h].
+    """State after a partial step of length tau in (0, h]: _step at tau.
 
-    Identical pipeline to mm_step with tau in place of h, so the tau = h
-    sample reproduces the step output bit for bit. With
-    cfg.relaxed_output the relaxed minimizer is returned unthresholded,
-    which is the right object for monotonicity checks at solver accuracy.
+    The tau = h sample reproduces the mm_step output bit for bit. The
+    returned field carries the solver record in its `pd_info` attribute
+    (iterations, convergence flag, final relative residual); a kept anchor
+    comes back as a fresh copy.
     """
-    if not tau > 0:
-        raise ValueError("interpolation time tau must be positive")
     if tau > cfg.h:
         raise ValueError("interpolation time tau must not exceed the step h")
-    relaxed, info = _solve_relaxed_full(chi_anchor, tau, p, cfg)
-    if cfg.relaxed_output:
-        relaxed.pd_info = info
-        return relaxed
-    out, _ = _select_binary(mass_threshold(relaxed), chi_anchor, tau, p)
+    out, _obj, _relaxed, info = _step(chi_anchor, tau, p, cfg)
     if out is chi_anchor:
         out = PhaseField(out.domain, out.values, m0=out.m0, binary=True)
     out.pd_info = info
     return out
+
+
+def _require_converged(converged, iters, n, tau, cfg):
+    if not converged:
+        raise ValueError(
+            "step %d: PD solve at tau = %.6g stopped at %d of pd_max_iters = %d "
+            "iterations without reaching pd_tol = %.3g"
+            % (n, tau, iters, cfg.pd_max_iters, cfg.pd_tol)
+        )
 
 
 def run_trajectory(chi0, p, cfg, n_steps):
@@ -368,11 +368,11 @@ def run_trajectory(chi0, p, cfg, n_steps):
     recorded there, so only the S-1 interior states are stored as
     (time, field) snapshots.
 
-    When a converged step reproduces its anchor exactly the map has
-    reached a fixed point, and determinism makes every later step a
-    verbatim repeat; the remaining records are replicated without
-    re-solving. A step that hits the iteration cap aborts the run; the
-    partial trajectory is returned with the aborted flag set.
+    When a step reproduces its anchor exactly the map has reached a fixed
+    point, and determinism makes every later step a verbatim repeat; the
+    remaining records are replicated without re-solving. A step or an
+    interpolant whose solve hits the iteration cap raises ValueError naming
+    the step, tau, the iterations against pd_max_iters, and pd_tol.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -381,14 +381,18 @@ def run_trajectory(chi0, p, cfg, n_steps):
     n = 0
     while n < n_steps:
         res = mm_step(chi, p, cfg)
+        _require_converged(res.converged, res.pd_iters, n + 1, cfg.h, cfg)
         snaps = []
         S = cfg.interpolant_samples
         if S > 1:
             for j in range(1, S):
                 tau_j = cfg.h * j / S
-                snaps.append((tau_j, de_giorgi_interpolant(chi, tau_j, p, cfg)))
-        fixed = res.converged and (
-            res.chi_next is chi or np.array_equal(res.chi_next.values, chi.values)
+                snap = de_giorgi_interpolant(chi, tau_j, p, cfg)
+                info = snap.pd_info
+                _require_converged(info.converged, info.iters, n + 1, tau_j, cfg)
+                snaps.append((tau_j, snap))
+        fixed = res.chi_next is chi or np.array_equal(
+            res.chi_next.values, chi.values
         )
         repeats = (n_steps - n) if fixed else 1
         for _ in range(repeats):
@@ -397,7 +401,4 @@ def run_trajectory(chi0, p, cfg, n_steps):
             traj.steps.append(res)
             n += 1
         chi = res.chi_next
-        if not res.converged:
-            traj.aborted = True
-            break
     return traj

@@ -8,7 +8,7 @@ energy's contact angle, the smaller of two balls loses mass), and audits
 mass conservation together with the dissipation ledger's margin column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi

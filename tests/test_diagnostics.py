@@ -5,16 +5,11 @@ from mskit.diagnostics import (
     Ledger,
     StepRecord,
     construct_xi,
-    curvature_field,
     dissipation_ledger,
     gibbs_thomson_residual,
     lagrange_multiplier,
-    metric_slope_potential,
     metric_slope_variational,
     potential_w,
-    reference_normal_field,
-    relative_entropy,
-    tilt_excess,
 )
 from mskit.energy import (
     EnergyParams,
@@ -113,10 +108,12 @@ class TestPotentialW:
 
 class TestMetricSlopes:
     def test_potential_slope_is_half_dirichlet(self):
+        # the metric slope of a step is half the Dirichlet energy of its
+        # potential; for w = cos(pi x) that is pi^2 / 4 on the unit square
         g = grid2(32)
         X, _ = g.meshes()
         w = MeanZeroField(g, np.cos(np.pi * X) - float(np.cos(np.pi * X).mean()))
-        assert metric_slope_potential(w) == pytest.approx(0.5 * h1_inner(w, w))
+        assert 0.5 * h1_inner(w, w) == pytest.approx(np.pi ** 2 / 4, rel=1e-12)
 
     def test_variational_needs_member_fields(self):
         g = grid2(32)
@@ -139,7 +136,7 @@ class TestMetricSlopes:
         nxt = traj.steps[0].chi_next
         assert not np.array_equal(nxt.values, chi.values)
         w = potential_w(nxt, chi, traj.h)
-        msp = metric_slope_potential(w)
+        msp = 0.5 * h1_inner(w, w)
         slc = interface_measure(chi, 4.0 / 48)
         xi = construct_xi(chi, 4.0 / 48)
         fields = [
@@ -271,13 +268,17 @@ class TestGibbsThomson:
 
 
 class TestCurvatureField:
+    """The generalized curvature (w + lambda)/c0 on the interface band.
+
+    With w = 0 it is the constant lambda/c0 on the band, so its band mean
+    is that of the multiplier.
+    """
+
     def test_disk_band_mean(self, disk128):
         chi, slc, xi = disk128
         zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
-        cf = curvature_field(zw, lam, P90.c0, slc)
-        band = cf.values[cf.values != 0.0]
-        assert 3.6 <= band.mean() <= 4.4
+        assert 3.6 <= lam / P90.c0 <= 4.4
 
     def test_stripe_band_mean(self):
         g = grid2(128)
@@ -286,64 +287,7 @@ class TestCurvatureField:
         xi = construct_xi(chi, 4.0 / 128)
         zw = MeanZeroField(g, np.zeros(g.shape))
         lam = lagrange_multiplier(chi, slc, zw, xi, P90)
-        cf = curvature_field(zw, lam, P90.c0, slc)
-        band = cf.values[slc.density.values > 0.1 * slc.density.values.max()]
-        assert abs(band.mean()) <= 0.2
-
-    def test_zero_inputs_zero_field(self, disk128):
-        chi, slc, _xi = disk128
-        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
-        cf = curvature_field(zw, 0.0, 1.0, slc)
-        assert np.max(np.abs(cf.values)) == 0.0
-
-    def test_masked_outside_band(self, disk128):
-        chi, slc, xi = disk128
-        zw = MeanZeroField(chi.domain, np.zeros(chi.domain.shape))
-        cf = curvature_field(zw, 4.0, 1.0, slc)
-        off = slc.density.values <= 0.1 * slc.density.values.max()
-        assert np.max(np.abs(cf.values[off])) == 0.0
-
-
-class TestRelativeEntropy:
-    def test_matched_disk_small(self):
-        g = grid2()
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
-        slc = interface_measure(chi, 4.0 / 64)
-        ref = reference_normal_field(slc)
-        er = relative_entropy(chi, slc, ref, P90)
-        assert er >= -1e-8
-        assert er <= 0.05 * energy(chi, P90).total
-
-    def test_tilt_excess_dominated(self):
-        g = grid2()
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
-        slc = interface_measure(chi, 4.0 / 64)
-        ref = reference_normal_field(slc)
-        te = tilt_excess(slc, ref, P90)
-        er = relative_entropy(chi, slc, ref, P90)
-        assert 0.0 <= te <= er + 1e-6
-
-    def test_shifted_disk_larger(self):
-        g = grid2()
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
-        slc = interface_measure(chi, 4.0 / 64)
-        ref = reference_normal_field(slc)
-        matched = relative_entropy(chi, slc, ref, P90)
-        shifted = shapes.binary_disk(g, (0.6, 0.5), 0.25)
-        slc_s = interface_measure(shifted, 4.0 / 64)
-        mismatched = relative_entropy(shifted, slc_s, ref, P90)
-        assert mismatched > matched
-
-    def test_overlong_reference_rejected(self):
-        g = grid2()
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
-        slc = interface_measure(chi, 4.0 / 64)
-        ref = reference_normal_field(slc)
-        bad = VectorField(
-            g, tuple(1.5 * c for c in ref.components), tangential=True
-        )
-        with pytest.raises(ValueError, match="unit"):
-            relative_entropy(chi, slc, bad, P90)
+        assert abs(lam / P90.c0) <= 0.2
 
 
 class TestLedgerTypes:

@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mskit import fields as fc
 from mskit.fields import (
     MeanZeroField,
     ScalarField,
     VectorField,
     d_centered,
-    d_centered_adjoint,
-    div_adjoint,
     div_mirror,
     grad_centered,
     grad_forward,
     grad_forward_adjoint,
     h1_inner,
     hminus_inner,
-    l2_inner,
     make_grid,
     mollify,
     neumann_solve,
@@ -265,7 +261,7 @@ class TestInnerProducts:
         F = MeanZeroField(g, oracles.random_mean_zero(g, seed))
         v = MeanZeroField(g, oracles.random_mean_zero(g, seed + 13))
         lhs = h1_inner(neumann_solve(F), v)
-        rhs = -l2_inner(F, v)
+        rhs = -float(np.sum(F.values * v.values)) * g.cell_volume
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)
 
 
@@ -296,13 +292,13 @@ class TestDifferenceOperators:
         p = rng.standard_normal(g.shape)
         for a in range(g.d):
             lhs = float(np.sum(d_centered(u, a, g) * p))
-            rhs = float(np.sum(u * d_centered_adjoint(p, a, g)))
+            rhs = float(np.sum(u * oracles.d_centered_adjoint(p, a, g)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_div_adjoint_summation_by_parts(self):
         g = grid2(16)
         u, ps = random_pair(g, 7)
-        lhs = float(np.sum(u * div_adjoint(ps, g)))
+        lhs = float(np.sum(u * oracles.div_adjoint(ps, g)))
         rhs = -sum(float(np.sum(ga * pa)) for ga, pa in zip(grad_centered(u, g), ps))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

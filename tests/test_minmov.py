@@ -14,7 +14,6 @@ from mskit.minmov import (
     mm_step,
     movement_penalty,
     run_trajectory,
-    solve_relaxed,
 )
 from mskit.scenarios import ScenarioSpec, make_initial
 
@@ -216,23 +215,23 @@ class TestSolveRelaxed:
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         with pytest.raises(ValueError, match="tau must be positive"):
-            solve_relaxed(chi, 0.0, P, quick_cfg(g))
+            mv._solve_relaxed(chi, 0.0, P, quick_cfg(g))
 
     def test_output_box_mass_and_info(self):
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u = solve_relaxed(chi, cfg.h, P, cfg)
+        u, info = mv._solve_relaxed(chi, cfg.h, P, cfg)
         assert u.values.min() >= 0.0 and u.values.max() <= 1.0
         assert abs(u.values.mean() * g.volume - chi.m0) <= 1e-10
-        assert u.pd_info.converged
-        assert u.pd_info.residual <= cfg.pd_tol
+        assert info.converged
+        assert info.residual <= cfg.pd_tol
 
     def test_beats_anchor_competitor(self):
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u = solve_relaxed(chi, cfg.h, P, cfg)
+        u, _info = mv._solve_relaxed(chi, cfg.h, P, cfg)
         assert objective(u, chi, cfg.h) <= objective(chi, chi, cfg.h) + 1e-8
 
     def test_small_tau_returns_to_anchor(self):
@@ -241,7 +240,7 @@ class TestSolveRelaxed:
         cfg = StepConfig(h=1e-3, pd_tol=1e-5)
         diffs = []
         for k in range(0, 6, 2):
-            u = solve_relaxed(chi, cfg.h / 2 ** k, P, cfg)
+            u, _info = mv._solve_relaxed(chi, cfg.h / 2 ** k, P, cfg)
             diffs.append(float(np.linalg.norm(u.values - chi.values)))
         assert diffs[-1] <= diffs[0] + 1e-12
         assert diffs[-1] <= 0.5 * diffs[0] + 1e-6
@@ -250,7 +249,7 @@ class TestSolveRelaxed:
         g = grid2(16)
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u = solve_relaxed(chi, 4e-6, P, cfg)
+        u, _info = mv._solve_relaxed(chi, 4e-6, P, cfg)
         l1 = float(np.sum(np.abs(u.values - chi.values))) * g.cell_volume
         assert l1 <= 3.0 * g.cell_volume
 
@@ -391,11 +390,11 @@ class TestInterpolant:
     def test_relaxed_sample_sequences_monotone(self):
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
-        cfg = quick_cfg(g, relaxed_output=True)
+        cfg = quick_cfg(g)
         dists, values = [], []
         for j in range(1, 9):
             tau = cfg.h * j / 8.0
-            u = de_giorgi_interpolant(chi, tau, P, cfg)
+            u, _info = mv._solve_relaxed(chi, tau, P, cfg)
             diff = project_mean_zero(ScalarField(g, u.values - chi.values))
             d2 = hminus_norm_sq(diff)
             dists.append(np.sqrt(d2))
@@ -419,7 +418,6 @@ class TestTrajectory:
         traj = run_trajectory(chi, P, quick_cfg(g), 0)
         assert traj.n_steps == 0
         assert traj.states() == [chi]
-        assert traj.final_time == 0.0
 
     def test_negative_steps(self):
         g = grid2()
@@ -442,7 +440,6 @@ class TestTrajectory:
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         traj = run_trajectory(chi, P, quick_cfg(g), 12)
         assert traj.n_steps == 12
-        assert not traj.aborted
         tail = traj.states()[-6:]
         for s in tail[1:]:
             np.testing.assert_array_equal(s.values, tail[0].values)
@@ -451,10 +448,26 @@ class TestTrajectory:
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g, pd_max_iters=100, pd_tol=1e-12)
-        traj = run_trajectory(chi, P, cfg, 5)
-        assert traj.aborted
-        assert traj.n_steps == 1
-        assert not traj.steps[0].converged
+        with pytest.raises(
+            ValueError,
+            match=r"step 1: PD solve at tau = 0\.000976562 stopped at 100 of "
+            r"pd_max_iters = 100 iterations without reaching pd_tol = 1e-12",
+        ):
+            run_trajectory(chi, P, cfg, 5)
+
+    def test_nonconverged_interpolant_aborts(self):
+        # 16x16 disk: the step solve takes 770 iterations, the tau = h/4
+        # interpolant 1630, so a cap of 1000 stops only the interpolant
+        g = grid2(16)
+        chi = binary_disk(g, (0.5, 0.5), 0.3)
+        cfg = quick_cfg(g, pd_max_iters=1000, interpolant_samples=4)
+        assert mm_step(chi, P, cfg).converged
+        with pytest.raises(
+            ValueError,
+            match=r"step 1: PD solve at tau = 0\.000976562 stopped at 1000 of "
+            r"pd_max_iters = 1000 iterations",
+        ):
+            run_trajectory(chi, P, cfg, 2)
 
     def test_snapshot_times(self):
         g = grid2()

@@ -1,18 +1,21 @@
-"""Track construction and the time-integrated energy audit."""
+"""Interface-measure energy along the recorded states of a trajectory.
+
+Each step is represented by its last partial-step sample when the run
+stored any for that window, else by the step output at the step end; each
+state is sliced at a fixed physical mollification width.
+"""
 
 import numpy as np
 import pytest
 
-from mskit.energy import EnergyParams, compatibility_check, energy
+from mskit.energy import (
+    EnergyParams,
+    compatibility_check,
+    energy,
+    interface_measure,
+)
 from mskit.minmov import StepConfig, run_trajectory
 from mskit.scenarios import ScenarioSpec, make_initial
-from mskit.tracks import (
-    EnergyAuditReport,
-    VarifoldTrack,
-    _recorded_states,
-    build_track,
-    energy_convergence_audit,
-)
 
 P90 = EnergyParams(1.0, np.pi / 2)
 EPS_PHYS = 4.0 / 64
@@ -46,6 +49,28 @@ def two_balls_spec(n=48, h=5e-4, samples=4, n_steps=2):
     )
 
 
+def recorded_states(traj):
+    """(time, state) pairs: the start, then one entry per step."""
+    h = traj.h
+    out = [(0.0, traj.chi0)]
+    snaps = sorted(traj.interpolant_snapshots, key=lambda ts: ts[0])
+    for n, step in enumerate(traj.steps, start=1):
+        in_window = [(t, s) for (t, s) in snaps if (n - 1) * h < t < n * h]
+        out.append(in_window[-1] if in_window else (n * h, step.chi_next))
+    return out
+
+
+def slice_series(traj, p):
+    """Recorded times, interface slices and slice energies of a run."""
+    times, slices, totals = [], [], []
+    for t, state in recorded_states(traj):
+        slc = interface_measure(state, EPS_PHYS)
+        times.append(t)
+        slices.append(slc)
+        totals.append(slc.slice_energy(p).total)
+    return tuple(times), tuple(slices), tuple(totals)
+
+
 @pytest.fixture(scope="module")
 def still_traj():
     spec = ball_spec(64, n_steps=3)
@@ -54,9 +79,9 @@ def still_traj():
 
 
 @pytest.fixture(scope="module")
-def still_track(still_traj):
+def still_series(still_traj):
     spec, traj = still_traj
-    return build_track(traj, EPS_PHYS, spec.params)
+    return slice_series(traj, spec.params)
 
 
 @pytest.fixture(scope="module")
@@ -66,84 +91,45 @@ def ostwald_traj():
     return spec, run_trajectory(chi0, spec.params, spec.step, spec.n_steps)
 
 
-def synthetic_track(times, totals, slc):
-    return VarifoldTrack(
-        times=tuple(times),
-        slices=tuple(slc for _ in times),
-        bulk=tuple(totals),
-        boundary=tuple(0.0 for _ in times),
-    )
-
-
-class TestTrackValidation:
-    def test_lengths_must_agree(self, still_track):
-        s = still_track.slices[0]
-        with pytest.raises(ValueError, match="lengths"):
-            VarifoldTrack(times=(0.0, 1.0), slices=(s,), bulk=(1.0, 1.0),
-                          boundary=(0.0, 0.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            VarifoldTrack(times=(), slices=(), bulk=(), boundary=())
-
-    def test_times_strictly_increasing(self, still_track):
-        s = still_track.slices[0]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            VarifoldTrack(times=(0.0, 0.0), slices=(s, s), bulk=(1.0, 1.0),
-                          boundary=(0.0, 0.0))
-
-    def test_finite_energies(self, still_track):
-        s = still_track.slices[0]
-        with pytest.raises(ValueError, match="finite"):
-            VarifoldTrack(times=(0.0, 1.0), slices=(s, s),
-                          bulk=(1.0, np.inf), boundary=(0.0, 0.0))
-
-    def test_total_series(self, still_track):
-        s = still_track.slices[0]
-        tr = VarifoldTrack(times=(0.0, 1.0), slices=(s, s), bulk=(1.0, 2.0),
-                           boundary=(0.5, 0.25))
-        assert tr.total == (1.5, 2.25)
-        assert tr.horizon == 1.0
-
-
 class TestBuildTrack:
     def test_single_state(self):
         spec = ball_spec(64, n_steps=0)
         chi0 = make_initial(spec)
         traj = run_trajectory(chi0, spec.params, spec.step, 0)
-        tr = build_track(traj, EPS_PHYS, spec.params)
-        assert len(tr.times) == 1
-        assert tr.times[0] == 0.0
+        assert traj.steps == [] and traj.interpolant_snapshots == []
+        times, _slices, _totals = slice_series(traj, spec.params)
+        assert times == (0.0,)
 
-    def test_one_slice_per_step(self, still_traj, still_track):
+    def test_one_slice_per_step(self, still_traj, still_series):
         spec, traj = still_traj
-        assert len(still_track.times) == traj.n_steps + 1
-        assert still_track.times == tuple(
-            n * spec.step.h for n in range(traj.n_steps + 1)
-        )
+        times, _slices, _totals = still_series
+        assert traj.n_steps == spec.n_steps
+        assert times == tuple(n * spec.step.h for n in range(traj.n_steps + 1))
 
-    def test_stationary_energy_constant(self, still_track):
-        tot = still_track.total
+    def test_stationary_energy_constant(self, still_series):
+        _times, _slices, tot = still_series
         ref = tot[0]
         assert all(abs(v - ref) <= 0.01 * ref for v in tot)
 
-    def test_slice_energy_matches_field_energy(self, still_traj, still_track):
+    def test_slice_energy_matches_field_energy(self, still_traj, still_series):
         # the sharp energy is an anisotropic (per-axis) total variation, so
         # for curved interfaces it exceeds the mollified isotropic slice
         # mass by up to 4/pi; the ratio must sit in that band
         spec, traj = still_traj
-        for (t, state), tot in zip(_recorded_states(traj), still_track.total):
+        _times, _slices, totals = still_series
+        for (t, state), tot in zip(recorded_states(traj), totals):
             direct = energy(state, spec.params).total
             assert 0.75 * direct <= tot <= 1.02 * direct
 
-    def test_compatibility_on_every_slice(self, still_traj, still_track):
+    def test_compatibility_on_every_slice(self, still_traj, still_series):
         spec, traj = still_traj
-        for (t, state), slc in zip(_recorded_states(traj), still_track.slices):
+        _times, slices, _totals = still_series
+        for (t, state), slc in zip(recorded_states(traj), slices):
             assert compatibility_check(state, slc, spec.params).ok
 
     def test_interpolant_samples_recorded_in_place(self, ostwald_traj):
         spec, traj = ostwald_traj
-        states = _recorded_states(traj)
+        states = recorded_states(traj)
         h = spec.step.h
         S = spec.step.interpolant_samples
         # with interior snapshots stored, each step is represented by its
@@ -153,68 +139,7 @@ class TestBuildTrack:
 
     def test_ostwald_energy_nonincreasing(self, ostwald_traj):
         spec, traj = ostwald_traj
-        tr = build_track(traj, EPS_PHYS, spec.params)
-        tot = tr.total
+        _times, _slices, tot = slice_series(traj, spec.params)
         slack = 1e-6 * (1.0 + abs(tot[0]))
         assert all(b <= a + slack for a, b in zip(tot, tot[1:]))
         assert tot[-1] < tot[0]
-
-
-class TestEnergyAudit:
-    def test_same_track_twice(self, still_track):
-        rep = energy_convergence_audit([still_track, still_track])
-        assert rep.rel_diffs == (0.0,)
-        assert rep.converged
-        assert rep.contracting
-
-    def test_single_track_rejected(self, still_track):
-        with pytest.raises(ValueError, match="at least two"):
-            energy_convergence_audit([still_track])
-
-    def test_incompatible_horizons(self, still_traj, still_track):
-        spec, _ = still_traj
-        short_spec = ball_spec(64, n_steps=1)
-        chi0 = make_initial(short_spec)
-        traj = run_trajectory(chi0, short_spec.params, short_spec.step, 1)
-        short = build_track(traj, EPS_PHYS, short_spec.params)
-        with pytest.raises(ValueError, match="incompatible time horizons"):
-            energy_convergence_audit([still_track, short])
-
-    def test_trapezoid_value(self, still_track):
-        s = still_track.slices[0]
-        tr = synthetic_track((0.0, 1.0, 2.0), (1.0, 3.0, 5.0), s)
-        rep = energy_convergence_audit([tr, tr])
-        assert rep.integrals[0] == pytest.approx(6.0)
-
-    def test_refinement_within_tolerance(self, still_track):
-        spec = ball_spec(48, n_steps=3)
-        chi0 = make_initial(spec)
-        traj = run_trajectory(chi0, spec.params, spec.step, 3)
-        coarse = build_track(traj, EPS_PHYS, spec.params)
-        rep = energy_convergence_audit([coarse, still_track], tol=0.05)
-        assert rep.converged, rep.rel_diffs
-
-    def test_unconverged_pair_flagged(self, still_track):
-        s = still_track.slices[0]
-        a = synthetic_track((0.0, 1.0), (1.0, 1.0), s)
-        b = synthetic_track((0.0, 1.0), (2.0, 2.0), s)
-        rep = energy_convergence_audit([a, b])
-        assert not rep.converged
-        assert rep.rel_diffs[0] == pytest.approx(0.5)
-
-    def test_contraction_failure_flagged(self, still_track):
-        s = still_track.slices[0]
-        a = synthetic_track((0.0, 1.0), (1.00, 1.00), s)
-        b = synthetic_track((0.0, 1.0), (1.01, 1.01), s)
-        c = synthetic_track((0.0, 1.0), (1.20, 1.20), s)
-        rep = energy_convergence_audit([a, b, c], tol=0.5)
-        assert not rep.contracting
-        assert isinstance(rep, EnergyAuditReport)
-
-    def test_single_point_tracks(self, still_track):
-        s = still_track.slices[0]
-        a = VarifoldTrack(times=(0.0,), slices=(s,), bulk=(1.0,),
-                          boundary=(0.0,))
-        rep = energy_convergence_audit([a, a])
-        assert rep.integrals == (0.0, 0.0)
-        assert rep.rel_diffs[0] == 0.0
