@@ -16,7 +16,6 @@ from .diagnostics import (
     potential_w,
 )
 from .energy import (
-    EnergyParams,
     compatibility_check,
     default_tangential_fields,
     energy,
@@ -39,16 +38,13 @@ from .io import (
     write_ledger,
     dump_field,
 )
-from .minmov import StepConfig, run_trajectory
+from .minmov import run_trajectory
 from .scenarios import (
-    ScenarioSpec,
     consistency_suite,
     default_scenarios,
     make_initial,
     run_scenario,
 )
-
-P90 = EnergyParams(1.0, np.pi / 2)
 
 
 class _Checks:
@@ -71,26 +67,18 @@ class _Checks:
         return 0 if self.failed == 0 else 1
 
 
-def _mini_two_balls(n=48):
-    return ScenarioSpec(
-        name="two_balls",
-        kind="two_balls",
-        dims=(n, n),
-        lengths=(1.0, 1.0),
-        params=P90,
-        step=StepConfig(h=5e-4, interpolant_samples=4),
-        n_steps=2,
-        centers=((0.30, 0.50), (0.72, 0.50)),
-        radii=(0.18, 0.10),
-    )
+def _shipped(n):
+    """The shipped scenarios on an n-by-n grid, by name."""
+    return {s.name: s for s in default_scenarios(n)}
 
 
 def _mini_set():
-    shipped = {s.name: s for s in default_scenarios(64)}
+    shipped = _shipped(64)
     ball = replace(shipped["ball"], n_steps=2,
                    step=replace(shipped["ball"].step, interpolant_samples=0))
     stripe = replace(shipped["stripe"], n_steps=2)
-    return (ball, stripe, _mini_two_balls())
+    two_balls = replace(_shipped(48)["two_balls"], n_steps=2)
+    return (ball, stripe, two_balls)
 
 
 def check_poisson(out_dir):
@@ -131,7 +119,7 @@ def check_poisson(out_dir):
 
 def check_ledger(out_dir):
     c = _Checks()
-    spec = _mini_two_balls()
+    spec = replace(_shipped(48)["two_balls"], n_steps=2)
     traj, ledger = run_scenario(spec)
     E0 = ledger.E0
     worst = min(r.dissipation_margin for r in ledger.records)
@@ -155,12 +143,7 @@ def check_ledger(out_dir):
 
 def check_flows(out_dir):
     c = _Checks()
-    spec = ScenarioSpec(
-        name="ball", kind="ball", dims=(64, 64), lengths=(1.0, 1.0),
-        params=P90, step=StepConfig(h=1e-4), n_steps=0,
-        centers=((0.5, 0.5),), radii=(0.25,),
-    )
-    chi = make_initial(spec)
+    chi = make_initial(_shipped(64)["ball"])
     grid = chi.domain
     eps = 4.0 * max(grid.spacing)
     xi = construct_xi(chi, eps)
@@ -202,7 +185,7 @@ def check_consistency(out_dir):
 def check_compat(out_dir):
     c = _Checks()
     for name, n in (("ball", 64), ("stripe", 64)):
-        spec = {s.name: s for s in default_scenarios(n)}[name]
+        spec = _shipped(n)[name]
         chi = make_initial(spec)
         eps = 4.0 * max(chi.domain.spacing)
         slc = interface_measure(chi, eps)
@@ -217,7 +200,7 @@ def check_compat(out_dir):
     # curvature relation residual contracts under refinement
     residuals = []
     for n in (48, 96):
-        spec = {s.name: s for s in default_scenarios(n)}["ball"]
+        spec = _shipped(n)["ball"]
         chi = make_initial(spec)
         grid = chi.domain
         eps = 4.0 * max(grid.spacing)

@@ -182,7 +182,7 @@ def _slope_from_samples(chi_anchor, samples, h, vel_sq):
     return integral / h
 
 
-def dissipation_ledger(traj, p, cfg, eps=None, basis=None):
+def dissipation_ledger(traj, p, cfg):
     """Per-step energies, velocities, slopes, multipliers, and margins.
 
     The margin of row n is the initial energy minus the current energy
@@ -190,13 +190,13 @@ def dissipation_ledger(traj, p, cfg, eps=None, basis=None):
     nonnegative column certifies the sharp dissipation inequality up to
     solver tolerance. Slopes use the full-step transfer potential, or the
     trapezoid rule over the trajectory's De Giorgi snapshots when present.
+    The step length is cfg.h, the mollification width four cell spacings.
     """
     states = traj.states()
     grid = states[0].domain
-    if eps is None:
-        eps = 4.0 * max(grid.spacing)
-    if basis is None:
-        basis = default_tangential_fields(grid, count=6)
+    h = cfg.h
+    eps = 4.0 * max(grid.spacing)
+    basis = default_tangential_fields(grid, count=6)
 
     records = []
     E0 = None
@@ -213,23 +213,23 @@ def dissipation_ledger(traj, p, cfg, eps=None, basis=None):
             gap = 0.0
         else:
             prev = states[n - 1]
-            w = potential_w(chi, prev, traj.h)
+            w = potential_w(chi, prev, h)
             vel_sq = h1_inner(w, w)
             samples = [
-                (t - (n - 1) * traj.h, field)
+                (t - (n - 1) * h, field)
                 for t, field in traj.interpolant_snapshots
-                if (n - 1) * traj.h < t < n * traj.h
+                if (n - 1) * h < t < n * h
             ]
-            slope_sq = _slope_from_samples(prev, samples, traj.h, vel_sq)
+            slope_sq = _slope_from_samples(prev, samples, h, vel_sq)
             gap = traj.steps[n - 1].relaxation_gap
-            cum += traj.h * (0.5 * vel_sq + 0.5 * slope_sq)
+            cum += h * (0.5 * vel_sq + 0.5 * slope_sq)
         lam = lagrange_multiplier(chi, slc, w, xi, p)
         gt = gibbs_thomson_residual(chi, slc, w, lam, p, basis)
         if E0 is None:
             E0 = br.total
         records.append(StepRecord(
             n=n,
-            t=n * traj.h,
+            t=n * h,
             E_bulk=br.bulk,
             E_boundary=br.boundary,
             E_total=br.total,

@@ -76,10 +76,6 @@ class PhaseField(ScalarField):
             )
         self.m0 = float(m0)
 
-    def complement(self):
-        return PhaseField(self.domain, 1.0 - self.values,
-                          m0=self.domain.volume - self.m0)
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -149,9 +145,6 @@ class VarifoldSlice:
         for (a, _side), vals in self.boundary_density.items():
             total += float(vals.sum()) * self.domain.face_area(a)
         return total
-
-    def total_mass(self, p):
-        return p.c0 * self.mass_bulk() + p.cos_alpha * p.c0 * self.mass_boundary()
 
     def slice_energy(self, p):
         return EnergyBreakdown(p.c0 * self.mass_bulk(),
@@ -319,8 +312,12 @@ def default_tangential_fields(grid, count=8):
     return fields[:count] if count is not None else fields
 
 
-def default_wall_normal_fields(grid, p, count=4):
-    """Fields whose outward wall flux equals cos(alpha) on every face."""
+def default_wall_normal_fields(grid, p):
+    """Three fields whose outward wall flux equals cos(alpha) on every face.
+
+    The first is a cosine profile; the other two add the first two
+    tangential fields to it.
+    """
     ca = p.cos_alpha
     L = grid.lengths
 
@@ -329,10 +326,10 @@ def default_wall_normal_fields(grid, p, count=4):
 
     base_comps = [base(a) for a in range(grid.d)]
     out = [vector_from_callables(grid, base_comps, tangential=False)]
-    for eta in default_tangential_fields(grid, count=max(0, count - 1)):
+    for eta in default_tangential_fields(grid, count=2):
         comps = [b + e for b, e in zip(out[0].components, eta.components)]
         out.append(VectorField(grid, comps, tangential=False))
-    return out[:count]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +353,21 @@ def _block_ranges(n, blocks):
     return [(edges[i], edges[i + 1]) for i in range(blocks)]
 
 
-def compatibility_check(chi, slc, p, blocks=4, eta_fields=None, xi_fields=None):
+def compatibility_check(chi, slc, p):
     """Audit the slice against the sharp-interface measures of chi.
 
     Checks the blockwise domination of the sharp perimeter by the slice
     mass (up to a calibrated mollification slack) and evaluates the two
     identity residuals pairing the oriented slice with the staircase
-    gradient, for tangential and wall-flux test fields respectively.
+    gradient, for six tangential and three wall-flux test fields
+    respectively. The partition has four blocks per axis.
     """
     grid = chi.domain
     vol = grid.cell_volume
     dens = slc.density.values
     sharp = grad_forward(chi.values, grid)
     sharp_mag = np.sqrt(sum(g * g for g in sharp))
+    blocks = 4
 
     ranges = [_block_ranges(grid.dims[a], blocks) for a in range(grid.d)]
     rows = []
@@ -411,11 +410,6 @@ def compatibility_check(chi, slc, p, blocks=4, eta_fields=None, xi_fields=None):
         })
         ok = ok and not violated
 
-    if eta_fields is None:
-        eta_fields = default_tangential_fields(grid, count=6)
-    if xi_fields is None:
-        xi_fields = default_wall_normal_fields(grid, p, count=3)
-
     grads_sharp = grad_centered(chi.values, grid)
     n = slc.normal.components
 
@@ -426,8 +420,12 @@ def compatibility_check(chi, slc, p, blocks=4, eta_fields=None, xi_fields=None):
         scale = 1.0 + field.max_norm() + _c1_seminorm(field, grid)
         return raw / scale
 
-    res_eta = max(oriented_residual(f) for f in eta_fields)
-    res_xi = max(oriented_residual(f) for f in xi_fields)
+    res_eta = max(
+        oriented_residual(f) for f in default_tangential_fields(grid, count=6)
+    )
+    res_xi = max(
+        oriented_residual(f) for f in default_wall_normal_fields(grid, p)
+    )
     return CompatibilityReport(rows, ok, res_eta, res_xi)
 
 

@@ -58,10 +58,6 @@ class GridDomain:
             v *= L
         return v
 
-    @property
-    def diameter(self):
-        return float(np.sqrt(sum(L * L for L in self.lengths)))
-
     def face_area(self, axis):
         """Measure of one cell face orthogonal to `axis`."""
         return self.cell_volume / self.spacing[axis]
@@ -114,9 +110,6 @@ class ScalarField:
 
     def integral(self):
         return float(self.values.sum()) * self.domain.cell_volume
-
-    def with_values(self, values):
-        return type(self)(self.domain, values)
 
 
 class MeanZeroField(ScalarField):

@@ -1,56 +1,27 @@
 """Run configuration, field persistence, ledger CSV, and raster output.
 
 The config grammar is flat `section.key = value` lines; unknown keys are
-hard errors so typos cannot silently fall back to defaults. Fields dump
-to a small self-describing binary format (magic, version, dims, lengths,
-payload) that round-trips bit for bit.
+hard errors so typos cannot silently fall back to defaults. CONFIG_KEYS is
+the one place a key is added: one row gives the record the value lands in,
+its field, parser and formatter, and parsing, building and `mskit info` all
+walk it; defaults live only in the dataclasses and the shipped scenarios.
+The ledger CSV columns are the fields of StepRecord. Fields dump to a small
+self-describing binary format (magic, version, dims, lengths, payload) that
+round-trips bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .diagnostics import Ledger, StepRecord
-from .energy import EnergyParams
 from .fields import ScalarField, make_grid
-from .minmov import StepConfig
 from .scenarios import KINDS, ScenarioSpec, default_scenarios
 
 MAGIC = b"MSFLD1"
 VERSION = 1
 
-LEDGER_HEADER = (
-    "n,t,E_bulk,E_boundary,E_total,vel_sq,slope_sq,lambda,"
-    "gt_residual,relaxation_gap,dissipation_margin,mass"
-)
-
-# every key the grammar accepts, with its parser
-_FLOAT_LIST = "float_list"
-_POINT_LIST = "point_list"
-KNOWN_KEYS = {
-    "scenario.kind": str,
-    "scenario.name": str,
-    "scenario.dims": "int_list",
-    "scenario.lengths": _FLOAT_LIST,
-    "scenario.centers": _POINT_LIST,
-    "scenario.radii": _FLOAT_LIST,
-    "scenario.angle": float,
-    "scenario.x_cut": float,
-    "scenario.seed": int,
-    "scenario.blob_count": int,
-    "scenario.blob_radius_range": _FLOAT_LIST,
-    "scenario.n_steps": int,
-    "energy.c0": float,
-    "energy.alpha": float,
-    "step.h": float,
-    "step.pd_max_iters": int,
-    "step.pd_tol": float,
-    "step.interpolant_samples": int,
-    "diagnostics.ledger": "bool",
-    "diagnostics.snapshots": "bool",
-    "output.dir": str,
-    "run.stride": int,
-}
+LEDGER_HEADER = ",".join(f.name.rstrip("_") for f in fields(StepRecord))
 
 
 class ConfigError(ValueError):
@@ -81,31 +52,58 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
-def _parse_value(key, text, lineno):
-    kind = KNOWN_KEYS[key]
-    try:
-        if kind is str:
-            return text.strip()
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind == "bool":
-            return _parse_bool(text)
-        if kind == "int_list":
-            return tuple(int(v) for v in text.split())
-        if kind == _FLOAT_LIST:
-            return tuple(float(v) for v in text.split())
-        if kind == _POINT_LIST:
-            pts = []
-            for chunk in text.split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    pts.append(tuple(float(v) for v in chunk.split()))
-            return tuple(pts)
-    except ValueError as exc:
-        raise ConfigError("line %d: bad value for %s: %s" % (lineno, key, exc))
-    raise AssertionError("unhandled kind %r" % kind)
+def _g(x):
+    return "%.17g" % x
+
+
+def _list(item):
+    return lambda text: tuple(item(v) for v in text.split())
+
+
+def _join(fmt, sep=" "):
+    return lambda values: sep.join(fmt(v) for v in values)
+
+
+def _parse_points(text):
+    return tuple(_list(float)(c) for c in text.split(";") if c.strip())
+
+
+def _flag(value):
+    return str(value).lower()
+
+
+# key -> (target record, field, parser, formatter), in `mskit info` line
+# order; the targets are the scenario spec, its energy params and step
+# config, and the RunConfig itself
+CONFIG_KEYS = {
+    "scenario.kind": ("scenario", "kind", str.strip, str),
+    "scenario.name": ("scenario", "name", str.strip, str),
+    "scenario.dims": ("scenario", "dims", _list(int), _join(str)),
+    "scenario.lengths": ("scenario", "lengths", _list(float), _join(_g)),
+    "scenario.n_steps": ("scenario", "n_steps", int, str),
+    "energy.c0": ("params", "c0", float, _g),
+    "energy.alpha": ("params", "alpha", float, _g),
+    "step.h": ("step", "h", float, _g),
+    "step.pd_max_iters": ("step", "pd_max_iters", int, str),
+    "step.pd_tol": ("step", "pd_tol", float, _g),
+    "step.interpolant_samples": ("step", "interpolant_samples", int, str),
+    "scenario.centers": (
+        "scenario", "centers", _parse_points, _join(_join(_g), " ; "),
+    ),
+    "scenario.radii": ("scenario", "radii", _list(float), _join(_g)),
+    "scenario.angle": ("scenario", "angle", float, _g),
+    "scenario.x_cut": ("scenario", "x_cut", float, _g),
+    "scenario.seed": ("scenario", "seed", int, str),
+    # the blob_* keys only act, and are only echoed, with a seed
+    "scenario.blob_count": ("scenario", "blob_count", int, str),
+    "scenario.blob_radius_range": (
+        "scenario", "blob_radius_range", _list(float), _join(_g),
+    ),
+    "diagnostics.ledger": ("run", "ledger", _parse_bool, _flag),
+    "diagnostics.snapshots": ("run", "snapshots", _parse_bool, _flag),
+    "output.dir": ("run", "out_dir", str.strip, str),
+    "run.stride": ("run", "stride", int, str),
+}
 
 
 def parse_config_text(text):
@@ -119,126 +117,66 @@ def parse_config_text(text):
             raise ConfigError("line %d: expected key = value" % lineno)
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
         if key in values:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
-        values[key] = _parse_value(key, val, lineno)
+        try:
+            values[key] = CONFIG_KEYS[key][2](val)
+        except ValueError as exc:
+            raise ConfigError(
+                "line %d: bad value for %s: %s" % (lineno, key, exc)
+            )
     return values
 
 
-def _build_scenario(values):
-    kind = values.get("scenario.kind", "ball")
+def config_from_values(values):
+    """RunConfig from parsed values over the shipped spec of the chosen kind."""
+    groups = {"scenario": {}, "params": {}, "step": {}, "run": {}}
+    for key, value in values.items():
+        target, name = CONFIG_KEYS[key][:2]
+        groups[target][name] = value
+    scenario = groups["scenario"]
+    kind = scenario.get("kind", "ball")
     if kind not in KINDS:
         raise ConfigError("unknown scenario kind: %r" % kind)
     base = {s.kind: s for s in default_scenarios()}[kind]
-
-    alpha = values.get("energy.alpha", base.params.alpha)
+    alpha = groups["params"].get("alpha", base.params.alpha)
     if not (0.0 < alpha <= np.pi / 2):
-        raise ConfigError(
-            "energy.alpha must lie in (0, pi/2], got %g" % alpha
-        )
-    params = EnergyParams(values.get("energy.c0", base.params.c0), alpha)
-
-    step = StepConfig(
-        h=values.get("step.h", base.step.h),
-        pd_max_iters=values.get("step.pd_max_iters", base.step.pd_max_iters),
-        pd_tol=values.get("step.pd_tol", base.step.pd_tol),
-        interpolant_samples=values.get(
-            "step.interpolant_samples", base.step.interpolant_samples
-        ),
-    )
-
-    fields = dict(
-        name=values.get("scenario.name", base.name),
-        kind=kind,
-        dims=values.get("scenario.dims", base.dims),
-        lengths=values.get("scenario.lengths", base.lengths),
-        params=params,
-        step=step,
-        n_steps=values.get("scenario.n_steps", base.n_steps),
-        centers=values.get("scenario.centers", base.centers),
-        radii=values.get("scenario.radii", base.radii),
-        x_cut=values.get("scenario.x_cut", base.x_cut),
-        seed=values.get("scenario.seed", base.seed),
-        blob_count=values.get("scenario.blob_count", base.blob_count),
-        blob_radius_range=values.get(
-            "scenario.blob_radius_range", base.blob_radius_range
-        ),
-    )
-    angle = values.get("scenario.angle", base.angle)
+        raise ConfigError("energy.alpha must lie in (0, pi/2], got %g" % alpha)
     if kind == "boundary_cap":
         # the wall angle is the energy's angle unless explicitly split
-        fields["angle"] = angle if "scenario.angle" in values else alpha
-    else:
-        fields["angle"] = angle
+        scenario.setdefault("angle", alpha)
     try:
-        return ScenarioSpec(**fields)
+        params = replace(base.params, **groups["params"])
+        step = replace(base.step, **groups["step"])
+        spec = replace(base, params=params, step=step, **scenario)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def config_from_values(values):
-    spec = _build_scenario(values)
-    return RunConfig(
-        scenario=spec,
-        ledger=values.get("diagnostics.ledger", True),
-        snapshots=values.get("diagnostics.snapshots", True),
-        out_dir=values.get("output.dir", "out"),
-        stride=values.get("run.stride", 1),
-    )
+    return RunConfig(spec, **groups["run"])
 
 
 def load_config(path):
     with open(path, "r") as fh:
-        text = fh.read()
-    return config_from_values(parse_config_text(text))
+        return config_from_values(parse_config_text(fh.read()))
 
 
 def echo_config(cfg):
-    """Canonical text form of a RunConfig, parseable by load_config."""
+    """Canonical text form of a RunConfig, parseable by load_config.
+
+    Keys whose value is unset (None) or empty are left out, and so are the
+    blob_* keys of a scenario without a seed.
+    """
     spec = cfg.scenario
-    lines = [
-        "scenario.kind = %s" % spec.kind,
-        "scenario.name = %s" % spec.name,
-        "scenario.dims = %s" % " ".join(str(n) for n in spec.dims),
-        "scenario.lengths = %s" % " ".join("%.17g" % L for L in spec.lengths),
-        "scenario.n_steps = %d" % spec.n_steps,
-        "energy.c0 = %.17g" % spec.params.c0,
-        "energy.alpha = %.17g" % spec.params.alpha,
-        "step.h = %.17g" % spec.step.h,
-        "step.pd_max_iters = %d" % spec.step.pd_max_iters,
-        "step.pd_tol = %.17g" % spec.step.pd_tol,
-        "step.interpolant_samples = %d" % spec.step.interpolant_samples,
-    ]
-    if spec.centers:
-        lines.append(
-            "scenario.centers = %s"
-            % " ; ".join(
-                " ".join("%.17g" % c for c in pt) for pt in spec.centers
-            )
-        )
-    if spec.radii:
-        lines.append(
-            "scenario.radii = %s" % " ".join("%.17g" % r for r in spec.radii)
-        )
-    if spec.angle is not None:
-        lines.append("scenario.angle = %.17g" % spec.angle)
-    if spec.x_cut is not None:
-        lines.append("scenario.x_cut = %.17g" % spec.x_cut)
-    if spec.seed is not None:
-        lines.append("scenario.seed = %d" % spec.seed)
-        lines.append("scenario.blob_count = %d" % spec.blob_count)
-        lines.append(
-            "scenario.blob_radius_range = %s"
-            % " ".join("%.17g" % r for r in spec.blob_radius_range)
-        )
-    lines += [
-        "diagnostics.ledger = %s" % str(cfg.ledger).lower(),
-        "diagnostics.snapshots = %s" % str(cfg.snapshots).lower(),
-        "output.dir = %s" % cfg.out_dir,
-        "run.stride = %d" % cfg.stride,
-    ]
+    records = dict(scenario=spec, params=spec.params, step=spec.step, run=cfg)
+    lines = []
+    for key, (target, name, _parse, fmt) in CONFIG_KEYS.items():
+        value = getattr(records[target], name)
+        if value is None or value == ():
+            continue
+        if key.startswith("scenario.blob_") and spec.seed is None:
+            continue
+        lines.append("%s = %s" % (key, fmt(value)))
     return "\n".join(lines) + "\n"
 
 
@@ -293,57 +231,42 @@ def write_ledger(ledger, path):
         raise ValueError("refusing to write an empty ledger")
     lines = [LEDGER_HEADER]
     for r in ledger.records:
-        lines.append(
-            ",".join(
-                "%.17g" % v if isinstance(v, float) else "%d" % v
-                for v in (
-                    r.n, r.t, r.E_bulk, r.E_boundary, r.E_total, r.vel_sq,
-                    r.slope_sq, r.lambda_, r.gt_residual, r.relaxation_gap,
-                    r.dissipation_margin, r.mass,
-                )
-            )
-        )
+        values = (getattr(r, f.name) for f in fields(StepRecord))
+        lines.append(",".join(
+            "%.17g" % v if isinstance(v, float) else "%d" % v for v in values
+        ))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_ledger(path):
     with open(path, "r") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != LEDGER_HEADER:
+        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln]
+    if not lines or lines[0][1] != LEDGER_HEADER:
         raise ValueError("not a ledger CSV (header mismatch)")
+    if len(lines) == 1:
+        raise ValueError("ledger CSV has a header but no rows")
+    columns = fields(StepRecord)
     records = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        records.append(
-            StepRecord(
-                n=int(parts[0]),
-                t=float(parts[1]),
-                E_bulk=float(parts[2]),
-                E_boundary=float(parts[3]),
-                E_total=float(parts[4]),
-                vel_sq=float(parts[5]),
-                slope_sq=float(parts[6]),
-                lambda_=float(parts[7]),
-                gt_residual=float(parts[8]),
-                relaxation_gap=float(parts[9]),
-                dissipation_margin=float(parts[10]),
-                mass=float(parts[11]),
-            )
-        )
+        if len(parts) != len(columns):
+            raise ValueError("ledger CSV line %d: expected %d fields, found %d"
+                             % (lineno, len(columns), len(parts)))
+        row = {f.name: f.type(v) for f, v in zip(columns, parts)}
+        records.append(StepRecord(**row))
     return Ledger(records=tuple(records), E0=records[0].E_total)
 
 
 def render_snapshot(obj, path):
     """Write a P5 graymap of a phase field or an interface slice."""
+    grid = obj.domain
     if hasattr(obj, "density"):
-        grid = obj.domain
         vals = obj.density.values
         peak = float(vals.max())
         if peak > 0.0:
             vals = vals / peak
     else:
-        grid = obj.domain
         vals = obj.values
     if grid.d == 3:
         vals = vals[:, :, grid.dims[2] // 2]

@@ -84,7 +84,6 @@ class StepResult:
 @dataclass
 class Trajectory:
     chi0: PhaseField
-    h: float
     steps: list = field(default_factory=list)
     interpolant_snapshots: list = field(default_factory=list)
 
@@ -376,7 +375,7 @@ def run_trajectory(chi0, p, cfg, n_steps):
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    traj = Trajectory(chi0=chi0, h=cfg.h)
+    traj = Trajectory(chi0=chi0)
     chi = chi0
     n = 0
     while n < n_steps:

@@ -1,8 +1,9 @@
-"""Every public function and class in `mskit` has a caller in the program.
+"""Every public name and method in `mskit` has a caller in the program.
 
 The scan parses the package and the benchmark harness with `ast` and looks
-for a use of each public top-level name (a load of the bare name, or an
-attribute of that name) outside the name's own definition. A name used only
+for a use of each public top-level name, and of each public method or
+property of a public class (a load of the bare name, or an attribute of
+that name), outside the name's own definition. A name used only
 by the tests fails it: the behaviour either gets a caller the program needs,
 or it goes together with its tests.
 """
@@ -29,14 +30,23 @@ ALLOWED_UNUSED = {
 }
 
 
+def _public(nodes):
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node
+
+
 def _public_definitions():
+    """Qualified name -> (path, node) for public names and their methods."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    out[node.name] = (path, node)
+        for node in _public(tree.body):
+            out[node.name] = (path, node)
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    out["%s.%s" % (node.name, method.name)] = (path, method)
     return out
 
 
@@ -63,13 +73,13 @@ def unused_public_names():
     }
     uses = {path: _uses(tree, None) for path, tree in trees.items()}
     unused = set()
-    for name, (path, node) in defs.items():
+    for qualname, (path, node) in defs.items():
         # uses inside the name's own definition do not count
         elsewhere = _uses(trees[path], node).union(
             *(found for other, found in uses.items() if other != path)
         )
-        if name not in elsewhere:
-            unused.add(name)
+        if node.name not in elsewhere:
+            unused.add(qualname)
     return unused
 
 

@@ -20,6 +20,15 @@ from mskit.io import (
     render_snapshot,
     write_ledger,
 )
+from mskit.scenarios import KINDS
+
+
+# ledger bodies after the header that read_ledger rejects, with the message
+MALFORMED_LEDGERS = [
+    pytest.param("", "no rows", id="header_only"),
+    pytest.param("0,0,1,0,1\n", "line 2: expected 12 fields, found 5",
+                 id="short_row"),
+]
 
 
 def simple_record(n=0, t=0.0, E=1.0, mass=0.2):
@@ -98,13 +107,35 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="stride"):
             config_from_values(parse_config_text("run.stride = 0\n"))
 
-    def test_echo_round_trip(self):
-        cfg = config_from_values(
-            parse_config_text("scenario.kind = boundary_cap\n")
-        )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_echo_round_trip(self, kind):
+        cfg = config_from_values(parse_config_text("scenario.kind = %s\n" % kind))
         again = config_from_values(parse_config_text(echo_config(cfg)))
-        assert again.scenario == cfg.scenario
-        assert again.stride == cfg.stride
+        assert again == cfg
+
+    def test_echo_golden_random_blobs(self):
+        # the one shipped kind with a seed, so the blob_* keys appear
+        cfg = config_from_values(parse_config_text("scenario.kind = random_blobs\n"))
+        assert echo_config(cfg) == (
+            "scenario.kind = random_blobs\n"
+            "scenario.name = random_blobs\n"
+            "scenario.dims = 128 128\n"
+            "scenario.lengths = 1 1\n"
+            "scenario.n_steps = 3\n"
+            "energy.c0 = 1\n"
+            "energy.alpha = 1.5707963267948966\n"
+            "step.h = 9.9999999999999995e-08\n"
+            "step.pd_max_iters = 40000\n"
+            "step.pd_tol = 1.0000000000000001e-05\n"
+            "step.interpolant_samples = 0\n"
+            "scenario.seed = 2026\n"
+            "scenario.blob_count = 4\n"
+            "scenario.blob_radius_range = 0.080000000000000002 0.12\n"
+            "diagnostics.ledger = true\n"
+            "diagnostics.snapshots = true\n"
+            "output.dir = out\n"
+            "run.stride = 1\n"
+        )
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -209,6 +240,13 @@ class TestLedgerCSV:
         with pytest.raises(ValueError, match="header"):
             read_ledger(str(path))
 
+    @pytest.mark.parametrize("body, message", MALFORMED_LEDGERS)
+    def test_malformed_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(LEDGER_HEADER + "\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_ledger(str(path))
+
 
 class TestRender:
     def test_zero_field_black(self, tmp_path):
@@ -302,6 +340,13 @@ class TestCLI:
         assert main(["report", str(out / "ledger.csv")]) == 0
         text = capsys.readouterr().out
         assert "worst margin" in text
+
+    @pytest.mark.parametrize("body, message", MALFORMED_LEDGERS)
+    def test_report_malformed_ledger_exit_code(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(LEDGER_HEADER + "\n" + body)
+        assert main(["report", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -49,9 +49,8 @@ def two_balls_spec(n=48, h=5e-4, samples=4, n_steps=2):
     )
 
 
-def recorded_states(traj):
-    """(time, state) pairs: the start, then one entry per step."""
-    h = traj.h
+def recorded_states(traj, h):
+    """(time, state) pairs: the start, then one entry per step of length h."""
     out = [(0.0, traj.chi0)]
     snaps = sorted(traj.interpolant_snapshots, key=lambda ts: ts[0])
     for n, step in enumerate(traj.steps, start=1):
@@ -60,10 +59,10 @@ def recorded_states(traj):
     return out
 
 
-def slice_series(traj, p):
+def slice_series(traj, p, h):
     """Recorded times, interface slices and slice energies of a run."""
     times, slices, totals = [], [], []
-    for t, state in recorded_states(traj):
+    for t, state in recorded_states(traj, h):
         slc = interface_measure(state, EPS_PHYS)
         times.append(t)
         slices.append(slc)
@@ -81,7 +80,7 @@ def still_traj():
 @pytest.fixture(scope="module")
 def still_series(still_traj):
     spec, traj = still_traj
-    return slice_series(traj, spec.params)
+    return slice_series(traj, spec.params, spec.step.h)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,7 @@ class TestBuildTrack:
         chi0 = make_initial(spec)
         traj = run_trajectory(chi0, spec.params, spec.step, 0)
         assert traj.steps == [] and traj.interpolant_snapshots == []
-        times, _slices, _totals = slice_series(traj, spec.params)
+        times, _slices, _totals = slice_series(traj, spec.params, spec.step.h)
         assert times == (0.0,)
 
     def test_one_slice_per_step(self, still_traj, still_series):
@@ -117,19 +116,19 @@ class TestBuildTrack:
         # mass by up to 4/pi; the ratio must sit in that band
         spec, traj = still_traj
         _times, _slices, totals = still_series
-        for (t, state), tot in zip(recorded_states(traj), totals):
+        for (t, state), tot in zip(recorded_states(traj, spec.step.h), totals):
             direct = energy(state, spec.params).total
             assert 0.75 * direct <= tot <= 1.02 * direct
 
     def test_compatibility_on_every_slice(self, still_traj, still_series):
         spec, traj = still_traj
         _times, slices, _totals = still_series
-        for (t, state), slc in zip(recorded_states(traj), slices):
+        for (t, state), slc in zip(recorded_states(traj, spec.step.h), slices):
             assert compatibility_check(state, slc, spec.params).ok
 
     def test_interpolant_samples_recorded_in_place(self, ostwald_traj):
         spec, traj = ostwald_traj
-        states = recorded_states(traj)
+        states = recorded_states(traj, spec.step.h)
         h = spec.step.h
         S = spec.step.interpolant_samples
         # with interior snapshots stored, each step is represented by its
@@ -139,7 +138,7 @@ class TestBuildTrack:
 
     def test_ostwald_energy_nonincreasing(self, ostwald_traj):
         spec, traj = ostwald_traj
-        _times, _slices, tot = slice_series(traj, spec.params)
+        _times, _slices, tot = slice_series(traj, spec.params, spec.step.h)
         slack = 1e-6 * (1.0 + abs(tot[0]))
         assert all(b <= a + slack for a, b in zip(tot, tot[1:]))
         assert tot[-1] < tot[0]
