@@ -105,9 +105,6 @@ class ScalarField:
         self.domain = domain
         self.values = values
 
-    def mean(self):
-        return float(self.values.mean())
-
     def integral(self):
         return float(self.values.sum()) * self.domain.cell_volume
 
@@ -221,18 +218,21 @@ def _dct(values):
     return dctn(values, type=2, norm="ortho")
 
 
-def _idct(coeffs):
-    return idctn(coeffs, type=2, norm="ortho")
+@lru_cache(maxsize=32)
+def _poisson_divisor(grid):
+    """The Neumann symbol with its zero mode (the only zero) set to 1."""
+    div = _neumann_symbol(grid).copy()
+    div[(0,) * grid.d] = 1.0
+    div.flags.writeable = False
+    return div
 
 
 def poisson_apply_raw(values, grid):
     """Array-level inverse Laplacian (zero-flux walls, zero mode dropped)."""
-    sym = _neumann_symbol(grid)
     coeffs = _dct(values)
-    out = np.zeros_like(coeffs)
-    nz = sym != 0.0
-    out[nz] = coeffs[nz] / sym[nz]
-    return _idct(out)
+    coeffs /= _poisson_divisor(grid)
+    coeffs[(0,) * grid.d] = 0.0
+    return idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
 
 
 def neumann_solve(F):
@@ -288,6 +288,12 @@ def hminus_norm_sq(F):
 # Real-space difference operators
 # ---------------------------------------------------------------------------
 
+def _axis_slice(grid, axis, lo, hi):
+    s = [slice(None)] * grid.d
+    s[axis] = slice(lo, hi)
+    return tuple(s)
+
+
 def grad_forward(values, grid):
     """Forward differences per axis, zero on the last slice of each axis.
 
@@ -296,35 +302,41 @@ def grad_forward(values, grid):
     """
     out = []
     for a in range(grid.d):
-        h = grid.spacing[a]
-        g = np.zeros_like(values)
-        src = np.diff(values, axis=a) / h
-        sl = [slice(None)] * grid.d
-        sl[a] = slice(0, grid.dims[a] - 1)
-        g[tuple(sl)] = src
+        n = grid.dims[a]
+        head = _axis_slice(grid, a, 0, n - 1)
+        g = np.empty(values.shape)
+        np.subtract(values[_axis_slice(grid, a, 1, n)], values[head], out=g[head])
+        g[head] /= grid.spacing[a]
+        g[_axis_slice(grid, a, n - 1, n)] = 0.0
         out.append(g)
     return out
 
 
 def grad_forward_adjoint(ps, grid):
-    """Exact transpose of grad_forward: sum_cells (grad u)_a p_a = sum u * out."""
-    out = np.zeros(grid.shape)
+    """Exact transpose of grad_forward: sum_cells (grad u)_a p_a = sum u * out.
+
+    Row i of the forward difference along an axis writes +1/h at i+1 and
+    -1/h at i, for i = 0 .. n-2, so the transpose is -p_0 on the first
+    slice, p_{i-1} - p_i inside and p_{n-2} on the last slice, over h.
+    """
+    out = np.empty(grid.shape)
+    scratch = np.empty(grid.shape)
     for a in range(grid.d):
-        h = grid.spacing[a]
         p = ps[a]
         n = grid.dims[a]
+        acc = out if a == 0 else scratch
 
         def sl(lo, hi):
-            s = [slice(None)] * grid.d
-            s[a] = slice(lo, hi)
-            return tuple(s)
+            return _axis_slice(grid, a, lo, hi)
 
-        acc = np.zeros(grid.shape)
-        # row i of the forward difference writes +1/h at i+1 and -1/h at i,
-        # for i = 0 .. n-2; transposing gives the shifted combination below.
-        acc[sl(1, n)] += p[sl(0, n - 1)]
-        acc[sl(0, n - 1)] -= p[sl(0, n - 1)]
-        out += acc / h
+        # np.negative(..., out=<view>) miscomputes a single-column view of
+        # some square arrays (seen with numpy 2.4 on 8x8), so negate by copy
+        acc[sl(0, 1)] = -p[sl(0, 1)]
+        np.subtract(p[sl(0, n - 2)], p[sl(1, n - 1)], out=acc[sl(1, n - 1)])
+        acc[sl(n - 1, n)] = p[sl(n - 2, n - 1)]
+        acc /= grid.spacing[a]
+        if acc is not out:
+            out += acc
     return out
 
 

@@ -253,7 +253,13 @@ def read_ledger(path):
         if len(parts) != len(columns):
             raise ValueError("ledger CSV line %d: expected %d fields, found %d"
                              % (lineno, len(columns), len(parts)))
-        row = {f.name: f.type(v) for f, v in zip(columns, parts)}
+        row = {}
+        for f, v in zip(columns, parts):
+            try:
+                row[f.name] = f.type(v)
+            except ValueError as exc:
+                raise ValueError("ledger CSV line %d: column %s: %s"
+                                 % (lineno, f.name.rstrip("_"), exc)) from None
         records.append(StepRecord(**row))
     return Ledger(records=tuple(records), E0=records[0].E_total)
 

@@ -10,6 +10,9 @@ and a mass-rank threshold maps the minimizer back to an indicator field.
 The projection is a continuous quadratic knapsack, solved exactly by a
 breakpoint method warm started from the previous iteration's shift
 (Kiwiel 2008), so each PD iteration pays for about two clipped sums.
+The over-relaxation (factor 1.5) is written x_hat + 0.5 (x_hat - x): a
+cell clipped to 0 then halves exactly to 0 instead of cycling at +-1 ulp
+of the smallest subnormal, where every operation on u runs slowly.
 
 One private body, _step, runs solve, threshold and binary selection at a
 penalty time tau. mm_step is its tau = h face and returns the step record;
@@ -175,10 +178,20 @@ def _dual_init(chi, grid, c0):
     return [c0 * g / safe for g in gs]
 
 
-def _clip_dual(ys, c0):
-    mag = np.sqrt(sum(y * y for y in ys))
-    factor = np.where(mag > c0, c0 / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return [y * factor for y in ys]
+def _clip_dual(ys, c0, mag, factor):
+    """Scale each dual vector longer than c0 back to length c0, in place.
+
+    mag and factor are scratch arrays of the grid shape. Returns ys.
+    """
+    np.multiply(ys[0], ys[0], out=mag)
+    for y in ys[1:]:
+        mag += np.multiply(y, y, out=factor)
+    np.sqrt(mag, out=mag)
+    factor.fill(1.0)
+    np.divide(c0, mag, out=factor, where=mag > c0)
+    for y in ys:
+        y *= factor
+    return ys
 
 
 def _solve_relaxed(chi_prev, tau, p, cfg):
@@ -189,6 +202,14 @@ def _solve_relaxed(chi_prev, tau, p, cfg):
     volume) so the step sizes are resolution-independent scalars. The
     nonlocal penalty enters through its gradient, one inverse-Laplacian
     apply per iteration, which is exact in the cosine basis.
+
+    The over-relaxation x + r (x_hat - x) is evaluated as
+    x_hat + (r - 1) (x_hat - x). Where the projection clips u_hat to 0 the
+    first form multiplies u by 1 - r = -1/2 with rounding, and at the
+    smallest subnormal that rounding keeps u flipping between +1 and -1 ulp
+    for the rest of the solve, so every operation reading u takes the slow
+    subnormal path; the second form halves u exactly and reaches 0. The
+    loop works in place, in preallocated buffers.
     """
     if not tau > 0:
         raise ValueError("penalty time tau must be positive")
@@ -207,20 +228,33 @@ def _solve_relaxed(chi_prev, tau, p, cfg):
     y = _dual_init(chi, grid, p.c0)
     u_hat = u
     shift = 0.0
+    diff = np.empty(grid.shape)  # u - chi, mean removed
+    arg = np.empty(grid.shape)  # primal argument of the projection
+    ext = np.empty(grid.shape)  # extrapolated primal 2 u_hat - u
+    mag = np.empty(grid.shape)
+    factor = np.empty(grid.shape)
 
     iters = 0
     converged = False
     residual = np.inf
     for iters in range(1, cfg.pd_max_iters + 1):
-        v = u - chi
-        v = v - v.mean()
-        grad_h = -poisson_apply_raw(v, grid) / tau + beta
-        kty = grad_forward_adjoint(y, grid)
+        np.subtract(u, chi, out=diff)
+        diff -= diff.mean()
+        grad_h = poisson_apply_raw(diff, grid)
+        grad_h /= -tau
+        grad_h += beta
+        grad_h += grad_forward_adjoint(y, grid)
+        grad_h *= t
         u_hat, shift = _project_box_mass(
-            u - t * (grad_h + kty), mean_target, shift
+            np.subtract(u, grad_h, out=arg), mean_target, shift
         )
-        g = grad_forward(2.0 * u_hat - u, grid)
-        y_hat = _clip_dual([y[a] + sigma * g[a] for a in range(grid.d)], p.c0)
+        np.multiply(u_hat, 2.0, out=ext)
+        ext -= u
+        y_hat = grad_forward(ext, grid)
+        for a in range(grid.d):
+            y_hat[a] *= sigma
+            y_hat[a] += y[a]
+        _clip_dual(y_hat, p.c0, mag, factor)
 
         if iters % _CHECK_EVERY == 0 or iters == cfg.pd_max_iters:
             du = u - u_hat
@@ -241,8 +275,10 @@ def _solve_relaxed(chi_prev, tau, p, cfg):
                 converged = True
                 u = u_hat
                 break
-        u = u + _RELAX * (u_hat - u)
-        y = [y[a] + _RELAX * (y_hat[a] - y[a]) for a in range(grid.d)]
+        for x, x_hat in zip([u] + y, [u_hat] + y_hat):
+            np.subtract(x_hat, x, out=x)
+            x *= _RELAX - 1.0
+            x += x_hat
 
     if not converged:
         u = u_hat

@@ -11,11 +11,17 @@ mirrored divergence, the reference for `energy.velocity_pairing_field`.
 d_centered_adjoint and div_adjoint are the hand-derived transposes of the
 centered stencil with even ghosts; they check the boundary rows of
 `fields.d_centered` and `fields.grad_centered`.
+
+poisson_apply_ref, grad_forward_ref and grad_forward_adjoint_ref are the
+plain, allocating forms of the solver kernels (a masked spectral divide,
+np.diff, one zero-initialised accumulator per axis); the buffered kernels
+in `fields` must reproduce them bit for bit.
 """
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
-from mskit.fields import div_mirror
+from mskit.fields import _neumann_symbol, div_mirror
 
 
 def dct2_synthesis_matrix(n):
@@ -100,4 +106,48 @@ def div_adjoint(components, grid):
     out = np.zeros(grid.shape)
     for a in range(grid.d):
         out -= d_centered_adjoint(components[a], a, grid)
+    return out
+
+
+def poisson_apply_ref(values, grid):
+    """Inverse Laplacian by a masked divide on the cosine coefficients."""
+    sym = _neumann_symbol(grid)
+    coeffs = dctn(values, type=2, norm="ortho")
+    out = np.zeros_like(coeffs)
+    nz = sym != 0.0
+    out[nz] = coeffs[nz] / sym[nz]
+    return idctn(out, type=2, norm="ortho")
+
+
+def grad_forward_ref(values, grid):
+    """Forward differences per axis via np.diff, zero on the last slice."""
+    out = []
+    for a in range(grid.d):
+        h = grid.spacing[a]
+        g = np.zeros_like(values)
+        src = np.diff(values, axis=a) / h
+        sl = [slice(None)] * grid.d
+        sl[a] = slice(0, grid.dims[a] - 1)
+        g[tuple(sl)] = src
+        out.append(g)
+    return out
+
+
+def grad_forward_adjoint_ref(ps, grid):
+    """Transpose of grad_forward_ref, one accumulator per axis."""
+    out = np.zeros(grid.shape)
+    for a in range(grid.d):
+        h = grid.spacing[a]
+        p = ps[a]
+        n = grid.dims[a]
+
+        def sl(lo, hi):
+            s = [slice(None)] * grid.d
+            s[a] = slice(lo, hi)
+            return tuple(s)
+
+        acc = np.zeros(grid.shape)
+        acc[sl(1, n)] += p[sl(0, n - 1)]
+        acc[sl(0, n - 1)] -= p[sl(0, n - 1)]
+        out += acc / h
     return out

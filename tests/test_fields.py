@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mskit.fields import (
     MeanZeroField,
@@ -16,6 +16,7 @@ from mskit.fields import (
     make_grid,
     mollify,
     neumann_solve,
+    poisson_apply_raw,
     project_mean_zero,
     tv_forward,
     vector_from_callables,
@@ -326,6 +327,52 @@ class TestDifferenceOperators:
         X, _ = g.meshes()
         d = d_centered(X, 0, g, ghost="odd")
         assert d[0, 0] == pytest.approx(1.0)
+
+
+@st.composite
+def kernel_grids(draw):
+    """2-D and 3-D grids of 8-13 cells per axis, square and cube included."""
+    d = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        dims = (draw(st.integers(8, 13)),) * d
+    else:
+        dims = tuple(draw(st.integers(8, 13)) for _ in range(d))
+    lengths = tuple(
+        draw(st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False))
+        for _ in range(d)
+    )
+    return make_grid(d, dims, lengths), draw(st.integers(0, 2 ** 16))
+
+
+class TestKernelsMatchReference:
+    """The buffered solver kernels against their plain allocating forms."""
+
+    @given(kernel_grids())
+    @hyp
+    def test_poisson_apply_raw(self, case):
+        g, seed = case
+        v = np.random.default_rng(seed).standard_normal(g.shape)
+        assert np.array_equal(poisson_apply_raw(v, g), oracles.poisson_apply_ref(v, g))
+
+    @given(kernel_grids())
+    @hyp
+    def test_grad_forward(self, case):
+        g, seed = case
+        v = np.random.default_rng(seed).standard_normal(g.shape)
+        for got, ref in zip(grad_forward(v, g), oracles.grad_forward_ref(v, g)):
+            assert np.array_equal(got, ref)
+
+    @given(kernel_grids())
+    @example((make_grid(2, (8, 8), (1.0, 1.0)), 7))
+    @example((make_grid(3, (8, 8, 8), (1.0, 1.0, 1.0)), 7))
+    @hyp
+    def test_grad_forward_adjoint(self, case):
+        g, seed = case
+        rng = np.random.default_rng(seed)
+        ps = [rng.standard_normal(g.shape) for _ in range(g.d)]
+        assert np.array_equal(
+            grad_forward_adjoint(ps, g), oracles.grad_forward_adjoint_ref(ps, g)
+        )
 
 
 class TestVectorField:

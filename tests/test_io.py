@@ -28,6 +28,9 @@ MALFORMED_LEDGERS = [
     pytest.param("", "no rows", id="header_only"),
     pytest.param("0,0,1,0,1\n", "line 2: expected 12 fields, found 5",
                  id="short_row"),
+    pytest.param("0,0,0.8,0.2,1,0,0,0.1,0,0,0,x\n",
+                 "line 2: column mass: could not convert string to float: 'x'",
+                 id="non_numeric"),
 ]
 
 

@@ -338,6 +338,43 @@ def test_step_matches_recorded_solve(name):
     assert abs(res.objective - objective) <= spec.step.pd_tol * max(1.0, objective)
 
 
+def test_pd_iterate_leaves_subnormal_range(monkeypatch):
+    """No cell of the extrapolated primal 2 u_hat - u stays subnormal long.
+
+    A cell the projection clips to 0 must halve to 0 within about 53
+    iterations rather than cycle at +-1 ulp of the smallest subnormal,
+    where every operation that reads it takes the slow path.
+    """
+    kw, iters, _objective = REGRESSION_STEPS["stiff_cap"]
+    spec = ScenarioSpec(name="stiff_cap", dims=(32, 32), lengths=(1.0, 1.0),
+                        n_steps=1, **kw)
+    poisson, grad = mv.poisson_apply_raw, mv.grad_forward
+    state = {"fresh": False, "seen": 0, "longest": 0,
+             "run": np.zeros(spec.dims, dtype=int)}
+
+    def poisson_once_per_iteration(values, grid):
+        state["fresh"] = True
+        return poisson(values, grid)
+
+    def grad_tracking_subnormals(values, grid):
+        # the first forward gradient after the Poisson apply is the one of
+        # 2 u_hat - u; the warm start and the residual check come elsewhere
+        if state["fresh"]:
+            state["fresh"] = False
+            state["seen"] += 1
+            sub = (values != 0.0) & (np.abs(values) < np.finfo(float).tiny)
+            state["run"] = np.where(sub, state["run"] + 1, 0)
+            state["longest"] = max(state["longest"], int(state["run"].max()))
+        return grad(values, grid)
+
+    monkeypatch.setattr(mv, "poisson_apply_raw", poisson_once_per_iteration)
+    monkeypatch.setattr(mv, "grad_forward", grad_tracking_subnormals)
+    res = mm_step(make_initial(spec), spec.params, spec.step)
+    assert res.pd_iters == iters
+    assert state["seen"] == iters
+    assert state["longest"] <= 60
+
+
 # ---------------------------------------------------------------------------
 # variational interpolants
 # ---------------------------------------------------------------------------
