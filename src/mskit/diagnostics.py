@@ -33,6 +33,7 @@ from .energy import (
     energy,
     first_variation,
     interface_measure,
+    mollification_width,
     velocity_pairing_field,
 )
 
@@ -195,7 +196,7 @@ def dissipation_ledger(traj, p, cfg):
     states = traj.states()
     grid = states[0].domain
     h = cfg.h
-    eps = 4.0 * max(grid.spacing)
+    eps = mollification_width(grid)
     basis = default_tangential_fields(grid, count=6)
 
     records = []

@@ -151,6 +151,11 @@ class VarifoldSlice:
                                p.cos_alpha * p.c0 * self.mass_boundary())
 
 
+def mollification_width(grid):
+    """Smoothing width of the audits' interface measures: four coarsest spacings."""
+    return 4.0 * max(grid.spacing)
+
+
 def interface_measure(chi, epsilon):
     grid = chi.domain
     smoothed = mollify(chi.values, grid, epsilon)

@@ -20,6 +20,7 @@ from .energy import (
     energy,
     first_variation,
     interface_measure,
+    mollification_width,
     velocity_pairing_field,
 )
 from .diagnostics import construct_xi
@@ -246,14 +247,14 @@ def project_to_S_chi(B_raw, chi, xi):
     return VectorField(chi.domain, comps, tangential=True)
 
 
-def flow_deform(chi, B, s, mass_correct=True):
+def flow_deform(chi, B, s):
     """Deform chi by the flow of B over parameter s.
 
     Returns the flow map and the deformed field (cell averages in [0,1]).
-    With mass_correct the map is composed with a flow along the volume
-    pairing direction, its parameter found by bisection, so the deformed
-    mass matches m0 to a fixed fraction of the domain volume; if the
-    bisection ends short of that tolerance, ValueError is raised.
+    The map is composed with a flow along the volume pairing direction,
+    its parameter found by bisection, so the deformed mass matches m0 to a
+    fixed fraction of the domain volume; if the bisection ends short of
+    that tolerance, ValueError is raised.
     """
     grid = chi.domain
     _require_member(chi, B)
@@ -264,14 +265,11 @@ def flow_deform(chi, B, s, mass_correct=True):
     fmap = _build_map(B, grid, s)
     vals = _pullback(chi, [fmap])
     mass_tol = _MASS_TOL_FRACTION * grid.volume
-    if not mass_correct:
-        return fmap, PhaseField(grid, vals, binary=False)
-
     drift = float(vals.mean()) * grid.volume - chi.m0
     if abs(drift) <= mass_tol:
         return fmap, PhaseField(grid, vals, binary=False)
 
-    xi = construct_xi(chi, 4.0 * max(grid.spacing))
+    xi = construct_xi(chi, mollification_width(grid))
 
     def mass_at(sigma):
         cmap = _build_map(xi, grid, sigma)
@@ -335,25 +333,25 @@ class VelocityReport:
     monotone: bool
 
 
-def velocity_convergence_check(chi, B, s_list=None):
+def velocity_convergence_check(chi, B):
     """Dual-norm distance between flow quotients and the pairing field.
 
-    r(s) is the H^-1 norm of (deformed - chi)/s + B . grad(chi); the
-    report records whether it decreases along the sweep.
+    r(s) is the H^-1 norm of (deformed - chi)/s + B . grad(chi), over s
+    the DEFAULT_S_FRACTIONS of the longest box side; the report records
+    whether it decreases along the sweep.
     """
     grid = chi.domain
-    if s_list is None:
-        s_list = tuple(f * max(grid.lengths) for f in DEFAULT_S_FRACTIONS)
+    s_values = tuple(f * max(grid.lengths) for f in DEFAULT_S_FRACTIONS)
     g = velocity_pairing_field(chi, B)
     rs = []
-    for s in s_list:
-        _fmap, deformed = flow_deform(chi, B, s, mass_correct=True)
+    for s in s_values:
+        _fmap, deformed = flow_deform(chi, B, s)
         v = (deformed.values - chi.values) / s + g
         v = v - v.mean()
         rs.append(float(np.sqrt(hminus_norm_sq(MeanZeroField(grid, v)))))
     monotone = all(b <= a + 1e-12 for a, b in zip(rs, rs[1:]))
     return VelocityReport(
-        s_values=tuple(s_list), r_values=tuple(rs), monotone=monotone
+        s_values=s_values, r_values=tuple(rs), monotone=monotone
     )
 
 
@@ -396,7 +394,7 @@ def difference_quotient_slope(chi, slc, B, s_list, p):
     qs, eqs, nqs = [], [], []
     degenerate = False
     for s in s_list:
-        _fmap, deformed = flow_deform(chi, B, s, mass_correct=True)
+        _fmap, deformed = flow_deform(chi, B, s)
         diff = deformed.values - chi.values
         dE = energy(deformed, p).total - E0
         dE_slice = (

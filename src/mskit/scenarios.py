@@ -1,11 +1,11 @@
-"""Initial conditions and the classical-consistency harness.
+"""Scenarios: their specs, initial fields, runs and shape measurements.
 
 Shapes are rasterized by supersampled cell averages and thresholded to
-binary fields, so repeated construction is bit-identical. The suite runs
-each scenario, checks the kind-specific classical behavior (stationary
-shapes stay put, flat interfaces stay flat, relaxing caps approach the
-energy's contact angle, the smaller of two balls loses mass), and audits
-mass conservation together with the dissipation ledger's margin column.
+binary fields, so repeated construction is bit-identical. `run_scenario`
+returns a scenario's trajectory with its dissipation ledger, and the
+measurement helpers read a run's states: the contact angle at the walls,
+how far cells moved from the initial interface, and the mass of the
+smaller of two components. The verdicts built on them live in `checks`.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .diagnostics import dissipation_ledger
-from .energy import EnergyParams, PhaseField, interface_measure
+from .energy import EnergyParams, PhaseField
 from .fields import make_grid
 from .minmov import StepConfig, run_trajectory
 
@@ -23,9 +23,6 @@ KINDS = ("ball", "two_balls", "stripe", "boundary_cap", "random_blobs")
 # contact measurement band: cells this many spacings from a wall
 WALL_BAND_FACTOR = 6.0
 BAND_FRACTION = 0.1
-MARGIN_TOL_FRACTION = 1e-6
-# allowed per-step rise of |measured angle - alpha| (quantization noise)
-ANGLE_TREND_SLACK = 0.02
 
 
 @dataclass(frozen=True)
@@ -242,11 +239,6 @@ def interface_displacement_cells(chi0, chi1):
     return float(dist[changed].max())
 
 
-def _stripe_planarity(state):
-    rows = state.values.sum(axis=0)
-    return float(rows.max() - rows.min())
-
-
 def component_masses(states):
     """Mass of the initially smaller component along the run.
 
@@ -280,89 +272,11 @@ def component_masses(states):
     return masses
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    name: str
-    ok: bool
-    checks: dict
-    values: dict
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    results: tuple
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.results)
-
-
 def run_scenario(spec):
     chi0 = make_initial(spec)
     traj = run_trajectory(chi0, spec.params, spec.step, spec.n_steps)
     ledger = dissipation_ledger(traj, spec.params, spec.step)
     return traj, ledger
-
-
-def consistency_suite(specs):
-    """Run the scenarios and collect their classical-behavior verdicts."""
-    results = []
-    for spec in specs:
-        traj, ledger = run_scenario(spec)
-        states = traj.states()
-        grid = states[0].domain
-        checks = {}
-        values = {}
-
-        masses = [r.mass for r in ledger.records]
-        drift = max(abs(m - masses[0]) for m in masses)
-        checks["mass"] = drift <= grid.cell_volume
-        values["mass_drift"] = drift
-
-        E0 = ledger.E0
-        worst = min(r.dissipation_margin for r in ledger.records)
-        checks["margin"] = worst >= -MARGIN_TOL_FRACTION * E0
-        values["worst_margin"] = worst
-
-        if spec.kind == "ball":
-            disp = max(
-                interface_displacement_cells(states[0], s) for s in states
-            )
-            checks["stationary"] = disp <= 3.0
-            values["displacement_cells"] = disp
-        elif spec.kind == "stripe":
-            planar = max(_stripe_planarity(s) for s in states)
-            checks["planar"] = planar <= 2.0
-            values["planarity_cells"] = planar
-        elif spec.kind == "boundary_cap":
-            eps = 4.0 * max(grid.spacing)
-            gaps = []
-            for s in states:
-                ang = measure_contact_angle(s, interface_measure(s, eps))
-                gaps.append(abs(ang - spec.params.alpha))
-            trend = all(
-                b <= a + ANGLE_TREND_SLACK for a, b in zip(gaps, gaps[1:])
-            )
-            checks["angle_trend"] = trend
-            values["angle_gaps"] = tuple(gaps)
-        elif spec.kind == "two_balls":
-            masses_small = component_masses(states)
-            downs = sum(
-                1 for a, b in zip(masses_small, masses_small[1:]) if b < a
-            )
-            steps = len(masses_small) - 1
-            checks["ostwald"] = steps > 0 and downs >= 0.8 * steps
-            values["small_masses"] = tuple(masses_small)
-
-        results.append(
-            ScenarioResult(
-                name=spec.name,
-                ok=all(checks.values()),
-                checks=checks,
-                values=values,
-            )
-        )
-    return ConsistencyReport(results=tuple(results))
 
 
 def default_scenarios(n=128):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mskit.checks import MARGIN_FLOOR_FRACTION
 from mskit.diagnostics import (
     Ledger,
     StepRecord,
@@ -364,4 +365,4 @@ class TestDissipationLedger:
         )
         _traj, led = run_scenario(spec)
         worst = min(r.dissipation_margin for r in led.records)
-        assert worst >= -1e-6 * led.E0
+        assert worst >= -MARGIN_FLOOR_FRACTION * led.E0

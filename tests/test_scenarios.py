@@ -1,4 +1,4 @@
-"""Scenario construction, contact angles, and the consistency harness."""
+"""Scenario construction, contact angles, shape measurements and runs."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from mskit.energy import EnergyParams, PhaseField, interface_measure
 from mskit.fields import make_grid
 from mskit.minmov import StepConfig
 from mskit.scenarios import (
-    ConsistencyReport,
     ScenarioSpec,
     component_masses,
-    consistency_suite,
     default_scenarios,
     interface_displacement_cells,
     make_initial,
@@ -284,60 +282,6 @@ class TestDefaultScenarios:
     def test_regrid(self):
         specs = default_scenarios(48)
         assert all(s.dims == (48, 48) for s in specs)
-
-
-@pytest.fixture(scope="module")
-def mini_report():
-    specs = (
-        spec_ball(64, n_steps=2),
-        spec_stripe(64, n_steps=2),
-        ScenarioSpec(
-            name="two_balls",
-            kind="two_balls",
-            dims=(48, 48),
-            lengths=(1.0, 1.0),
-            params=P90,
-            step=StepConfig(h=5e-4, interpolant_samples=4),
-            n_steps=2,
-            centers=((0.30, 0.50), (0.72, 0.50)),
-            radii=(0.18, 0.10),
-        ),
-    )
-    return consistency_suite(specs)
-
-
-class TestConsistencySuite:
-    def test_report_shape(self, mini_report):
-        assert isinstance(mini_report, ConsistencyReport)
-        assert [r.name for r in mini_report.results] == [
-            "ball", "stripe", "two_balls",
-        ]
-
-    def test_all_pass(self, mini_report):
-        for r in mini_report.results:
-            assert r.ok, "%s failed: %r %r" % (r.name, r.checks, r.values)
-        assert mini_report.ok
-
-    def test_ball_is_stationary(self, mini_report):
-        r = mini_report.results[0]
-        assert r.checks["stationary"]
-        assert r.values["displacement_cells"] <= 3.0
-
-    def test_stripe_stays_planar(self, mini_report):
-        r = mini_report.results[1]
-        assert r.checks["planar"]
-        assert r.values["planarity_cells"] <= 2.0
-
-    def test_two_balls_ostwald(self, mini_report):
-        r = mini_report.results[2]
-        assert r.checks["ostwald"]
-        masses = r.values["small_masses"]
-        assert masses[1] < masses[0]
-
-    def test_masses_and_margins(self, mini_report):
-        for r in mini_report.results:
-            assert r.checks["mass"]
-            assert r.checks["margin"]
 
 
 class TestRunScenario:
