@@ -284,6 +284,39 @@ class TestDefaultScenarios:
         assert all(s.dims == (48, 48) for s in specs)
 
 
+def consistency_record(suite_records, scenario, key):
+    by_name = {c.name: c for c in suite_records[0]["consistency"]}
+    return by_name["consistency.%s.%s" % (scenario, key)]
+
+
+class TestConsistencySuite:
+    """The records of the session's one run of `mskit check consistency`."""
+
+    def test_all_pass(self, suite_records):
+        records = suite_records[0]["consistency"]
+        assert records
+        for c in records:
+            assert c.ok, "%s failed: %s" % (c.name, c.detail)
+
+    def test_ball_is_stationary(self, suite_records):
+        # the stationary verdict is a displacement of at most 3 cells
+        assert consistency_record(suite_records, "ball", "stationary").ok
+
+    def test_stripe_stays_planar(self, suite_records):
+        # the planar verdict is a planarity of at most 2 cells
+        assert consistency_record(suite_records, "stripe", "planar").ok
+
+    def test_two_balls_ostwald(self, suite_records):
+        # over the suite's two steps the verdict needs both to lose mass,
+        # so the small ball's mass after step 1 is below its initial mass
+        assert consistency_record(suite_records, "two_balls", "ostwald").ok
+
+    def test_masses_and_margins(self, suite_records):
+        for scenario in ("ball", "stripe", "two_balls"):
+            assert consistency_record(suite_records, scenario, "mass").ok
+            assert consistency_record(suite_records, scenario, "margin").ok
+
+
 class TestRunScenario:
     def test_zero_steps(self):
         traj, ledger = run_scenario(spec_ball(48, n_steps=0))
