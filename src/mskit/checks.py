@@ -10,6 +10,7 @@ once.
 
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,16 @@ def _mini_set():
     return (ball, stripe, two_balls)
 
 
+@lru_cache(maxsize=None)
+def _run(spec):
+    """run_scenario, once per spec in a process.
+
+    The ledger suite and the two_balls run of the consistency suite use
+    the same spec, so they share one run.
+    """
+    return run_scenario(spec)
+
+
 def _mass_drift(ledger, grid):
     """Largest mass drift from the first row, and whether it is at most one cell."""
     masses = [r.mass for r in ledger.records]
@@ -126,7 +137,7 @@ def check_poisson(out_dir):
 
 def check_ledger(out_dir):
     spec = replace(_shipped(48)["two_balls"], n_steps=2)
-    traj, ledger = run_scenario(spec)
+    traj, ledger = _run(spec)
     worst, floor = _worst_margin(ledger)
     energies = [r.E_total for r in ledger.records]
     mono = all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
@@ -207,7 +218,7 @@ def check_consistency(out_dir):
     """
     records = []
     for spec in _mini_set():
-        traj, ledger = run_scenario(spec)
+        traj, ledger = _run(spec)
         states = traj.states()
         worst, floor = _worst_margin(ledger)
         verdicts = {

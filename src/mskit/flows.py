@@ -382,8 +382,6 @@ def difference_quotient_slope(chi, slc, B, s_list, p):
     instead of dividing by zero.
     """
     grid = chi.domain
-    if s_list is None:
-        s_list = tuple(f * max(grid.lengths) for f in DEFAULT_S_FRACTIONS)
     E0 = energy(chi, p).total
     E0_slice = slc.slice_energy(p).total
     fv = first_variation(slc, B, p)

@@ -18,12 +18,17 @@ One private body, _step, runs solve, threshold and binary selection at a
 penalty time tau. mm_step is its tau = h face and returns the step record;
 de_giorgi_interpolant is its tau in (0, h] face and returns the variational
 interpolant that the dissipation ledger samples between consecutive states,
-so the tau = h sample reproduces the step output bit for bit.
-run_trajectory iterates the steps and raises when a solve hits its
-iteration cap.
+so the tau = h sample, started from the same point, reproduces the step
+output bit for bit. run_trajectory iterates the steps and raises when a
+solve hits its iteration cap. Within one step it solves the sampled
+tau = h/S, ..., h in increasing order as a continuation: the first solve
+starts cold, and each later one, the step itself last, starts from the
+previous solve's final primal-dual pair and projection shift. The PD
+iteration converges from any starting pair (Chambolle & Pock 2011), so the
+warm start changes the cost of a solve, not the problem it solves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,11 +73,17 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Inner-solver bookkeeping of one relaxed solve."""
+    """Inner-solver bookkeeping of one relaxed solve.
+
+    `end` is the solve's final (u_hat, y_hat, shift): primal iterate, dual
+    iterate and projection shift, the warm start of a solve on the same
+    anchor at a larger tau. run_trajectory drops it from stored records.
+    """
 
     iters: int
     converged: bool
     residual: float
+    end: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -194,10 +205,13 @@ def _clip_dual(ys, c0, mag, factor):
     return ys
 
 
-def _solve_relaxed(chi_prev, tau, p, cfg):
+def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     """Primal-dual iteration for the relaxed movement-penalized problem.
 
     Returns the relaxed minimizer at penalty time tau and its SolveInfo.
+    Without `start` the iteration begins cold, at u = chi_prev with the
+    dual at the total-variation subgradient of chi_prev; with it, at the
+    `end` of an earlier solve on the same anchor (copied, not modified).
     Works in objective-density units (energies divided by the domain
     volume) so the step sizes are resolution-independent scalars. The
     nonlocal penalty enters through its gradient, one inverse-Laplacian
@@ -224,10 +238,15 @@ def _solve_relaxed(chi_prev, tau, p, cfg):
     slack = min((2.0 - _RELAX) / _RELAX, 1.0)
     t = 1.0 / (0.5 * lip / slack * 1.02 + 1.02 * sigma * knorm_sq)
 
-    u = chi.copy()
-    y = _dual_init(chi, grid, p.c0)
-    u_hat = u
-    shift = 0.0
+    if start is None:
+        u = chi.copy()
+        y = _dual_init(chi, grid, p.c0)
+        shift = 0.0
+    else:
+        u = start[0].copy()
+        y = [a.copy() for a in start[1]]
+        shift = start[2]
+    u_hat, y_hat = u, y
     diff = np.empty(grid.shape)  # u - chi, mean removed
     arg = np.empty(grid.shape)  # primal argument of the projection
     ext = np.empty(grid.shape)  # extrapolated primal 2 u_hat - u
@@ -284,7 +303,8 @@ def _solve_relaxed(chi_prev, tau, p, cfg):
         u = u_hat
 
     out = PhaseField(grid, u, m0=chi_prev.m0)
-    info = SolveInfo(iters=iters, converged=converged, residual=float(residual))
+    info = SolveInfo(iters=iters, converged=converged, residual=float(residual),
+                     end=(u_hat, y_hat, shift))
     return out, info
 
 
@@ -338,27 +358,28 @@ def _select_binary(cand, anchor, tau, p):
     return anchor, obj_anchor
 
 
-def _step(chi_anchor, tau, p, cfg):
+def _step(chi_anchor, tau, p, cfg, start=None):
     """Relaxed solve at penalty time tau, mass threshold, binary selection.
 
     Returns (chi_next, binary objective, relaxed minimizer, SolveInfo).
     """
-    relaxed, info = _solve_relaxed(chi_anchor, tau, p, cfg)
+    relaxed, info = _solve_relaxed(chi_anchor, tau, p, cfg, start)
     chi_next, obj_binary = _select_binary(
         mass_threshold(relaxed), chi_anchor, tau, p
     )
     return chi_next, obj_binary, relaxed, info
 
 
-def mm_step(chi_prev, p, cfg):
+def mm_step(chi_prev, p, cfg, start=None):
     """One implicit step: _step at tau = h.
 
     The binary output is the better of the thresholded candidate and
     chi_prev itself, measured by the full movement-penalized objective;
     see _select_binary. The relaxation gap is the binary objective minus
-    the relaxed one.
+    the relaxed one. `start`, if given, is the `end` of an earlier solve on
+    chi_prev, from which the PD iteration begins instead of cold.
     """
-    chi_next, obj_binary, relaxed, info = _step(chi_prev, cfg.h, p, cfg)
+    chi_next, obj_binary, relaxed, info = _step(chi_prev, cfg.h, p, cfg, start)
     obj_relaxed = _objective(relaxed, chi_prev, cfg.h, p)
     return StepResult(
         chi_next=chi_next,
@@ -369,17 +390,18 @@ def mm_step(chi_prev, p, cfg):
     )
 
 
-def de_giorgi_interpolant(chi_anchor, tau, p, cfg):
+def de_giorgi_interpolant(chi_anchor, tau, p, cfg, start=None):
     """State after a partial step of length tau in (0, h]: _step at tau.
 
-    The tau = h sample reproduces the mm_step output bit for bit. The
-    returned field carries the solver record in its `pd_info` attribute
-    (iterations, convergence flag, final relative residual); a kept anchor
-    comes back as a fresh copy.
+    Called with the same `start` (see mm_step), the tau = h sample
+    reproduces the mm_step output bit for bit. The returned field carries
+    the solver record in its `pd_info` attribute (iterations, convergence
+    flag, final relative residual, and the end state that warm starts the
+    next tau); a kept anchor comes back as a fresh copy.
     """
     if tau > cfg.h:
         raise ValueError("interpolation time tau must not exceed the step h")
-    out, _obj, _relaxed, info = _step(chi_anchor, tau, p, cfg)
+    out, _obj, _relaxed, info = _step(chi_anchor, tau, p, cfg, start)
     if out is chi_anchor:
         out = PhaseField(out.domain, out.values, m0=out.m0, binary=True)
     out.pd_info = info
@@ -401,7 +423,10 @@ def run_trajectory(chi0, p, cfg, n_steps):
     With interpolant_samples = S the sampled penalty times are tau = j h/S
     for j = 1..S; the tau = h sample coincides with the step output and is
     recorded there, so only the S-1 interior states are stored as
-    (time, field) snapshots.
+    (time, field) snapshots. The solves of one step run in increasing tau,
+    as a continuation: tau = h/S starts cold, and every later one, the step
+    at tau = h last, starts from the end state of the one before. Stored
+    snapshots keep their solver record without that end state.
 
     When a step reproduces its anchor exactly the map has reached a fixed
     point, and determinism makes every later step a verbatim repeat; the
@@ -415,17 +440,19 @@ def run_trajectory(chi0, p, cfg, n_steps):
     chi = chi0
     n = 0
     while n < n_steps:
-        res = mm_step(chi, p, cfg)
-        _require_converged(res.converged, res.pd_iters, n + 1, cfg.h, cfg)
         snaps = []
+        start = None
         S = cfg.interpolant_samples
-        if S > 1:
-            for j in range(1, S):
-                tau_j = cfg.h * j / S
-                snap = de_giorgi_interpolant(chi, tau_j, p, cfg)
-                info = snap.pd_info
-                _require_converged(info.converged, info.iters, n + 1, tau_j, cfg)
-                snaps.append((tau_j, snap))
+        for j in range(1, S):
+            tau_j = cfg.h * j / S
+            snap = de_giorgi_interpolant(chi, tau_j, p, cfg, start=start)
+            info = snap.pd_info
+            _require_converged(info.converged, info.iters, n + 1, tau_j, cfg)
+            start = info.end
+            snap.pd_info = replace(info, end=None)
+            snaps.append((tau_j, snap))
+        res = mm_step(chi, p, cfg, start=start)
+        _require_converged(res.converged, res.pd_iters, n + 1, cfg.h, cfg)
         fixed = res.chi_next is chi or np.array_equal(
             res.chi_next.values, chi.values
         )

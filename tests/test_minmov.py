@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,12 @@ class TestMMStep:
         res = mm_step(chi, P, cfg)
         snap = de_giorgi_interpolant(chi, cfg.h, P, cfg)
         np.testing.assert_array_equal(snap.values, res.chi_next.values)
+        # the same holds for a warm start, given to both
+        start = de_giorgi_interpolant(chi, cfg.h / 2, P, cfg).pd_info.end
+        res = mm_step(chi, P, cfg, start=start)
+        snap = de_giorgi_interpolant(chi, cfg.h, P, cfg, start=start)
+        assert snap.pd_info.iters == res.pd_iters
+        np.testing.assert_array_equal(snap.values, res.chi_next.values)
 
 
 # Steps recorded with the bisection projection that the breakpoint solver
@@ -327,6 +334,16 @@ REGRESSION_STEPS = {
 }
 
 
+# Per-tau PD iterations (tau = h/4, h/2, 3h/4, h) of the REGRESSION_STEPS
+# two_balls with interpolant_samples = 4: every tau solved cold by itself,
+# and run_trajectory's continuation, which starts each solve after the first
+# from the end state of the one before.
+CONTINUATION_ITERS = {
+    "cold": (1440, 1500, 1680, 2260),
+    "continued": (1440, 1070, 1390, 1900),
+}
+
+
 @pytest.mark.parametrize("name", sorted(REGRESSION_STEPS))
 def test_step_matches_recorded_solve(name):
     kw, iters, objective = REGRESSION_STEPS[name]
@@ -336,6 +353,35 @@ def test_step_matches_recorded_solve(name):
     assert res.converged
     assert res.pd_iters == iters
     assert abs(res.objective - objective) <= spec.step.pd_tol * max(1.0, objective)
+
+
+def test_continuation_matches_cold_solves():
+    kw, _iters, _objective = REGRESSION_STEPS["two_balls"]
+    kw = dict(kw, step=replace(kw["step"], interpolant_samples=4))
+    spec = ScenarioSpec(name="two_balls", dims=(32, 32), lengths=(1.0, 1.0),
+                        n_steps=1, **kw)
+    chi, p, cfg = make_initial(spec), spec.params, spec.step
+    cold_snaps = [de_giorgi_interpolant(chi, cfg.h * j / 4, p, cfg)
+                  for j in (1, 2, 3)]
+    cold = mm_step(chi, p, cfg)
+    traj = run_trajectory(chi, p, cfg, 1)
+    snaps = [snap for _t, snap in traj.interpolant_snapshots]
+    (step,) = traj.steps
+
+    cold_iters = tuple(s.pd_info.iters for s in cold_snaps) + (cold.pd_iters,)
+    iters = tuple(s.pd_info.iters for s in snaps) + (step.pd_iters,)
+    assert cold_iters == CONTINUATION_ITERS["cold"]
+    assert iters == CONTINUATION_ITERS["continued"]
+    assert sum(iters) < sum(cold_iters)
+
+    np.testing.assert_array_equal(step.chi_next.values, cold.chi_next.values)
+    for snap, cold_snap in zip(snaps, cold_snaps):
+        np.testing.assert_array_equal(snap.values, cold_snap.values)
+    assert step.objective <= cold.objective + cfg.pd_tol * max(
+        1.0, abs(cold.objective)
+    )
+    # stored snapshots keep the solver counts, not the primal-dual arrays
+    assert all(s.pd_info.end is None for s in snaps)
 
 
 def test_pd_iterate_leaves_subnormal_range(monkeypatch):
@@ -493,8 +539,9 @@ class TestTrajectory:
             run_trajectory(chi, P, cfg, 5)
 
     def test_nonconverged_interpolant_aborts(self):
-        # 16x16 disk: the step solve takes 770 iterations, the tau = h/4
-        # interpolant 1630, so a cap of 1000 stops only the interpolant
+        # 16x16 disk: the step solve takes 770 iterations cold, the tau = h/4
+        # interpolant 1630; that interpolant is solved first, so a cap of
+        # 1000 stops it before any other solve
         g = grid2(16)
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g, pd_max_iters=1000, interpolant_samples=4)
