@@ -5,9 +5,7 @@ problem with source (chi_bar - chi_anchor)/tau. Its Dirichlet energy is the
 squared velocity of a step and, sampled at the De Giorgi interpolants, the
 squared slope in the sharp dissipation bookkeeping of the ledger. Lagrange
 multipliers for the mass constraint come from pairing the interface first
-variation with a constructed wall-tangential direction field. The slope's
-descent form over a dictionary of admissible directions is
-metric_slope_variational.
+variation with a constructed wall-tangential direction field.
 """
 
 from dataclasses import dataclass
@@ -20,7 +18,6 @@ from .fields import (
     div_mirror,
     grad_centered,
     h1_inner,
-    hminus_norm_sq,
     mollify,
     neumann_solve,
     require_same_grid,
@@ -34,7 +31,6 @@ from .energy import (
     first_variation,
     interface_measure,
     mollification_width,
-    velocity_pairing_field,
 )
 
 NORMALIZER_FLOOR = 1e-6
@@ -88,32 +84,6 @@ def potential_w(chi_bar, chi_anchor, tau):
     src = (chi_bar.values - chi_anchor.values) / tau
     src = src - src.mean()
     return neumann_solve(MeanZeroField(grid, src))
-
-
-def metric_slope_variational(chi, slc, p, fields):
-    """Best descent estimate over a dictionary of admissible directions.
-
-    Each candidate contributes its first variation minus half the squared
-    dual norm of the induced interface velocity; fields must already be
-    volume preserving for the phase (projected, see the flows module).
-    """
-    if not fields:
-        raise ValueError("empty dictionary of variation fields")
-    grid = chi.domain
-    best = -np.inf
-    for B in fields:
-        ci = constraint_integral(chi, B)
-        if abs(ci) > 1e-8 * (1.0 + B.max_norm()):
-            raise ValueError(
-                "dictionary field is not volume preserving: %.3e" % ci
-            )
-        g = velocity_pairing_field(chi, B)
-        g = g - g.mean()
-        val = first_variation(slc, B, p) - 0.5 * hminus_norm_sq(
-            MeanZeroField(grid, g)
-        )
-        best = max(best, val)
-    return float(best)
 
 
 def construct_xi(chi, eps):

@@ -1,10 +1,10 @@
-"""Mass-preserving test flows and their difference-quotient checks.
+"""Mass-preserving test flows and their velocity difference quotient.
 
 A wall-tangential velocity field with vanishing volume pairing generates
 a one-parameter family of box-preserving deformations. This module
 integrates those deformations, pulls indicator fields back through them,
-and compares the resulting difference quotients against the first
-variation and the dual-metric velocity norm computed directly.
+and measures the dual-metric distance between the difference quotient
+(deformed - chi)/s and the pairing field B . grad(chi) it converges to.
 """
 
 import itertools
@@ -17,9 +17,7 @@ from .fields import MeanZeroField, VectorField, hminus_norm_sq
 from .energy import (
     PhaseField,
     constraint_integral,
-    energy,
-    first_variation,
-    interface_measure,
+    interface_measure,  # noqa: F401  (perfbench/tracing.py wraps it here)
     mollification_width,
     velocity_pairing_field,
 )
@@ -352,78 +350,4 @@ def velocity_convergence_check(chi, B):
     monotone = all(b <= a + 1e-12 for a, b in zip(rs, rs[1:]))
     return VelocityReport(
         s_values=s_values, r_values=tuple(rs), monotone=monotone
-    )
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    s_values: tuple
-    q_values: tuple
-    energy_quotients: tuple
-    first_variation: float
-    norm_quotients: tuple
-    velocity_norm: float
-    energy_mismatch: float
-    norm_mismatch: float
-    degenerate: bool
-
-
-def difference_quotient_slope(chi, slc, B, s_list, p):
-    """Flow-based surrogates for the descent slope of the energy.
-
-    For each s the deformed state gives the positive-part energy quotient
-    q(s), the measure-level energy difference quotient against the first
-    variation, and the distance quotient against the dual norm of the
-    pairing field. The energy quotient compares slice energies at the
-    slice's own smoothing scale, since the sharp-interface energy of a
-    resampled field carries an s-independent staircase offset that the
-    mollified energies cancel. Mismatches are reported at the smallest s;
-    if some deformation leaves chi fixed the report is flagged degenerate
-    instead of dividing by zero.
-    """
-    grid = chi.domain
-    E0 = energy(chi, p).total
-    E0_slice = slc.slice_energy(p).total
-    fv = first_variation(slc, B, p)
-    g = velocity_pairing_field(chi, B)
-    g = g - g.mean()
-    vnorm = float(np.sqrt(hminus_norm_sq(MeanZeroField(grid, g))))
-
-    qs, eqs, nqs = [], [], []
-    degenerate = False
-    for s in s_list:
-        _fmap, deformed = flow_deform(chi, B, s)
-        diff = deformed.values - chi.values
-        dE = energy(deformed, p).total - E0
-        dE_slice = (
-            interface_measure(deformed, slc.epsilon).slice_energy(p).total
-            - E0_slice
-        )
-        dm = diff - diff.mean()
-        dn = float(np.sqrt(hminus_norm_sq(MeanZeroField(grid, dm))))
-        if dn == 0.0:
-            degenerate = True
-            qs.append(np.nan)
-            eqs.append(dE_slice / s)
-            nqs.append(0.0)
-            continue
-        qs.append(max(dE, 0.0) / dn)
-        eqs.append(dE_slice / s)
-        nqs.append(dn / s)
-
-    if degenerate:
-        e_mis = n_mis = float("nan")
-    else:
-        e_mis = abs(eqs[-1] - fv) / (1.0 + abs(fv))
-        n_mis = abs(nqs[-1] - vnorm) / (1.0 + vnorm)
-    return SlopeReport(
-        s_values=tuple(s_list),
-        q_values=tuple(qs),
-        energy_quotients=tuple(eqs),
-        first_variation=fv,
-        norm_quotients=tuple(nqs),
-        velocity_norm=vnorm,
-        energy_mismatch=e_mis,
-        norm_mismatch=n_mis,
-        degenerate=degenerate,
     )

@@ -5,9 +5,11 @@ hard errors so typos cannot silently fall back to defaults. CONFIG_KEYS is
 the one place a key is added: one row gives the record the value lands in,
 its field, parser and formatter, and parsing, building and `mskit info` all
 walk it; defaults live only in the dataclasses and the shipped scenarios.
-The ledger CSV columns are the fields of StepRecord. Fields dump to a small
-self-describing binary format (magic, version, dims, lengths, payload) that
-round-trips bit for bit.
+The ledger CSV columns are the fields of StepRecord. Fields are written,
+never read back, in a small self-describing binary format: the magic
+b"MSFLD1", then little-endian uint32 version, d and the d dims, then d
+float64 box lengths, then the float64 values in column-major (Fortran)
+order, so axis 0 varies fastest.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -15,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import Ledger, StepRecord
-from .fields import ScalarField, make_grid
 from .scenarios import KINDS, ScenarioSpec, default_scenarios
 
 MAGIC = b"MSFLD1"
@@ -188,42 +189,6 @@ def dump_field(f, path):
         fh.write(header.tobytes())
         fh.write(np.asarray(grid.lengths, dtype="<f8").tobytes())
         fh.write(np.asarray(f.values, dtype="<f8").ravel(order="F").tobytes())
-
-
-def load_field(path, grid=None):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise ValueError("bad magic: not a field dump")
-    off = len(MAGIC)
-
-    def take(n):
-        nonlocal off
-        chunk = data[off : off + n]
-        if len(chunk) < n:
-            raise ValueError("truncated field dump")
-        off += n
-        return chunk
-
-    version, d = np.frombuffer(take(8), dtype="<u4")
-    if version != VERSION:
-        raise ValueError("unsupported field dump version %d" % version)
-    dims = tuple(int(v) for v in np.frombuffer(take(4 * d), dtype="<u4"))
-    lengths = tuple(np.frombuffer(take(8 * d), dtype="<f8"))
-    count = int(np.prod(dims))
-    payload = np.frombuffer(take(8 * count), dtype="<f8")
-    if off != len(data):
-        raise ValueError("trailing bytes in field dump")
-    values = payload.reshape(dims, order="F").copy()
-    target = make_grid(int(d), dims, lengths)
-    if grid is not None:
-        if grid.dims != target.dims or grid.lengths != target.lengths:
-            raise ValueError(
-                "dimension mismatch: dump has dims=%r lengths=%r"
-                % (target.dims, target.lengths)
-            )
-        target = grid
-    return ScalarField(target, values)
 
 
 def write_ledger(ledger, path):

@@ -24,18 +24,7 @@ PACKAGE = ROOT / "src" / "mskit"
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # Public names kept without a caller, each with the reason it stays.
-ALLOWED_UNUSED = {
-    "metric_slope_variational": (
-        "the descent-dictionary form of the metric slope, one of the slope "
-        "representations of the weak formulation; waits for a `check slope` "
-        "suite"
-    ),
-    "difference_quotient_slope": (
-        "the difference-quotient form of the metric slope along a flow; "
-        "waits for a `check slope` suite"
-    ),
-    "load_field": "reader for the .msfld files that `mskit run` writes",
-}
+ALLOWED_UNUSED = {}
 
 # Public methods and properties whose name another type also carries, each
 # with the program code that calls it.
@@ -43,10 +32,6 @@ SHARED_NAMES = {
     "GridDomain.shape": (
         "array allocations such as `np.zeros(grid.shape)` in fields, energy, "
         "diagnostics, flows and checks (an ndarray attribute too)"
-    ),
-    "CompatibilityReport.ok": (
-        "`rep.ok` in checks.check_compat and `comp.ok` in "
-        "perfbench/workloads.flow_checks (a field of checks.Check too)"
     ),
     "Trajectory.n_steps": (
         "`traj.n_steps` in cli.cmd_run (a field of ScenarioSpec too)"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mskit.diagnostics import (
     dissipation_ledger,
     gibbs_thomson_residual,
     lagrange_multiplier,
-    metric_slope_variational,
     potential_w,
 )
 from mskit.energy import (
@@ -26,9 +27,8 @@ from mskit.fields import (
     hminus_norm_sq,
     make_grid,
 )
-from mskit.flows import project_to_S_chi
 from mskit.minmov import StepConfig, run_trajectory
-from mskit.scenarios import ScenarioSpec, run_scenario
+from mskit.scenarios import ScenarioSpec, default_scenarios, run_scenario
 
 import shapes
 
@@ -115,37 +115,6 @@ class TestMetricSlopes:
         X, _ = g.meshes()
         w = MeanZeroField(g, np.cos(np.pi * X) - float(np.cos(np.pi * X).mean()))
         assert 0.5 * h1_inner(w, w) == pytest.approx(np.pi ** 2 / 4, rel=1e-12)
-
-    def test_variational_needs_member_fields(self):
-        g = grid2(32)
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.3)
-        slc = interface_measure(chi, 4.0 / 32)
-        bad = default_tangential_fields(g)[6]  # dilation pairs positively
-        with pytest.raises(ValueError, match="volume preserving"):
-            metric_slope_variational(chi, slc, P90, [bad])
-
-    def test_empty_dictionary(self):
-        g = grid2(32)
-        chi = shapes.binary_disk(g, (0.5, 0.5), 0.3)
-        slc = interface_measure(chi, 4.0 / 32)
-        with pytest.raises(ValueError, match="empty"):
-            metric_slope_variational(chi, slc, P90, [])
-
-    def test_ordering_on_accepted_step(self, annihilation48):
-        traj, cfg = annihilation48
-        chi = traj.chi0
-        nxt = traj.steps[0].chi_next
-        assert not np.array_equal(nxt.values, chi.values)
-        w = potential_w(nxt, chi, cfg.h)
-        msp = 0.5 * h1_inner(w, w)
-        slc = interface_measure(chi, 4.0 / 48)
-        xi = construct_xi(chi, 4.0 / 48)
-        fields = [
-            project_to_S_chi(B, chi, xi)
-            for B in default_tangential_fields(chi.domain, count=6)
-        ]
-        msv = metric_slope_variational(chi, slc, P90, fields)
-        assert msv <= msp + 1e-6 * (1.0 + abs(msv) + abs(msp))
 
 
 class TestConstructXi:
@@ -364,5 +333,18 @@ class TestDissipationLedger:
             radii=(0.18, 0.10),
         )
         _traj, led = run_scenario(spec)
+        worst = min(r.dissipation_margin for r in led.records)
+        assert worst >= -MARGIN_FLOOR_FRACTION * led.E0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the shipped ball at 32x32 keeps its anchor at every "
+        "step, but the interpolants at tau = 4h/8, 5h/8 and 6h/8 move two "
+        "cells each and are replicated into step 2, so the ledger books "
+        "slope no energy drop pays for (margins 0, -6.83e-3, -1.366e-2 "
+        "against -1.84e-6)"
+    ))
+    def test_shipped_ball_32_margin_above_floor(self):
+        ball = next(s for s in default_scenarios(32) if s.kind == "ball")
+        _traj, led = run_scenario(replace(ball, n_steps=2))
         worst = min(r.dissipation_margin for r in led.records)
         assert worst >= -MARGIN_FLOOR_FRACTION * led.E0

@@ -31,6 +31,12 @@ def grid2(n=64):
     return make_grid(2, (n, n), (1.0, 1.0))
 
 
+def wall_trace(slc):
+    """Face-measure-weighted sum of the slice's per-face wall traces."""
+    return sum(float(vals.sum()) * slc.domain.face_area(a)
+               for (a, _side), vals in slc.boundary_density.items())
+
+
 class TestYoung:
     """The contact angle alpha of Young's relation lies in (0, pi/2]."""
 
@@ -122,15 +128,15 @@ class TestInterfaceMeasure:
         g = grid2(32)
         chi = PhaseField(g, np.zeros(g.shape))
         s = interface_measure(chi, 2 * g.spacing[0])
-        assert s.mass_bulk() == 0.0
-        assert s.mass_boundary() == 0.0
+        assert s.density.integral() == 0.0
+        assert wall_trace(s) == 0.0
 
     def test_stripe_mass_exact(self):
         # columnwise monotone profile: the centered gradient telescopes to
         # the exact unit rise, so the slice mass is 1 to machine precision
         g = grid2(64)
         s = interface_measure(shapes.stripe(g), 2 * g.spacing[0])
-        assert s.mass_bulk() == pytest.approx(1.0, abs=1e-12)
+        assert s.density.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_under_resolved(self):
         g = grid2(32)
@@ -165,9 +171,9 @@ class TestInterfaceMeasure:
         p = EnergyParams(1.0, np.pi / 3)
         s = interface_measure(chi, 2 * g.spacing[0])
         E = energy(chi, p)
-        SE = s.slice_energy(p)
-        assert SE.bulk == pytest.approx(E.bulk, rel=1e-10)
-        assert SE.boundary == pytest.approx(E.boundary, rel=1e-10)
+        assert p.c0 * s.density.integral() == pytest.approx(E.bulk, rel=1e-10)
+        assert p.cos_alpha * p.c0 * wall_trace(s) == pytest.approx(
+            E.boundary, rel=1e-10)
 
 
 class TestFirstVariation:
@@ -196,7 +202,7 @@ class TestFirstVariation:
                               2 * g.spacing[0])
         B = tapered_dilation(g, (0.5, 0.5))
         dmu = first_variation(s, B, P90)
-        assert dmu == pytest.approx(s.mass_bulk(), rel=1e-10)
+        assert dmu == pytest.approx(s.density.integral(), rel=1e-10)
 
     def test_rotation_exactly_neutral(self):
         g = grid2(128)
@@ -260,7 +266,9 @@ class TestFirstVariation:
             from mskit.fields import jacobian
             J = jacobian(B, g)
             c1 = max(float(np.max(np.abs(arr))) for row in J for arr in row)
-            bound = s.slice_energy(p).total * np.sqrt(g.d) * (B.max_norm() + c1)
+            slice_energy = (p.c0 * s.density.integral() + p.cos_alpha * p.c0
+                            * boundary_trace_integral(chi.values, g))
+            bound = slice_energy * np.sqrt(g.d) * (B.max_norm() + c1)
             assert abs(first_variation(s, B, p)) <= bound + 1e-12
 
 

@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mskit import flows
 from mskit.energy import (
-    EnergyParams,
     constraint_integral,
     default_tangential_fields,
-    interface_measure,
     velocity_pairing_field,
 )
 from mskit.fields import MeanZeroField, VectorField, hminus_norm_sq, make_grid
@@ -16,15 +14,12 @@ from mskit.flows import (
     _interp_vector,
     _pullback,
     construct_xi,
-    difference_quotient_slope,
     flow_deform,
     project_to_S_chi,
     velocity_convergence_check,
 )
 
 import shapes
-
-P90 = EnergyParams(1.0, np.pi / 2)
 
 # Analytic dual norm of the pairing field for the mid-plane stripe under
 # B = (sin(pi x) cos(2 pi y), 0): expanding the interface line measure in
@@ -329,53 +324,3 @@ class TestVelocityConvergence:
         nrm = float(np.sqrt(hminus_norm_sq(MeanZeroField(g, v))))
         assert nrm == pytest.approx(STRIPE_PAIRING_NORM, rel=0.05)
 
-
-class TestDifferenceQuotient:
-    def test_rotation_is_degenerate_direction(self, disk64, dictionary64):
-        slc = interface_measure(disk64, 4.0 / 64)
-        rep = difference_quotient_slope(
-            disk64, slc, dictionary64[7], (0.005, 0.0025), P90
-        )
-        assert rep.degenerate
-        assert all(np.isnan(q) for q in rep.q_values)
-        assert np.isnan(rep.energy_mismatch)
-
-    def test_zero_field_degenerate(self, disk64):
-        slc = interface_measure(disk64, 4.0 / 64)
-        rep = difference_quotient_slope(
-            disk64, slc, zero_field(disk64.domain), (0.02,), P90
-        )
-        assert rep.degenerate
-
-    def test_energy_quotient_approaches_first_variation(self, disk64, member64):
-        slc = interface_measure(disk64, 4.0 / 64)
-        B = negate(member64)  # ascent direction: positive first variation
-        rep = difference_quotient_slope(disk64, slc, B, (0.08, 0.04, 0.02), P90)
-        fv = rep.first_variation
-        assert fv > 0.0
-        gaps = [abs(eq - fv) for eq in rep.energy_quotients]
-        assert gaps[1] <= 1.1 * gaps[0]
-        assert gaps[2] <= 1.1 * gaps[1]
-        assert not rep.degenerate
-        for q in rep.q_values:
-            assert q >= 0.0 and np.isfinite(q)
-
-    def test_stripe_norm_quotient_matches_dual_norm(self):
-        g = grid2()
-        chi = shapes.stripe(g)
-        X, Y = g.meshes()
-        B = VectorField(
-            g,
-            (np.sin(np.pi * X) * np.cos(2 * np.pi * Y), np.zeros(g.dims)),
-            tangential=True,
-        )
-        slc = interface_measure(chi, 4.0 / 64)
-        rep = difference_quotient_slope(chi, slc, B, (0.02, 0.01), P90)
-        assert rep.norm_mismatch <= 0.10
-        assert rep.velocity_norm == pytest.approx(STRIPE_PAIRING_NORM, rel=0.05)
-
-    def test_report_shapes(self, disk64, member64):
-        slc = interface_measure(disk64, 4.0 / 64)
-        rep = difference_quotient_slope(disk64, slc, member64, (0.04, 0.02), P90)
-        assert len(rep.s_values) == len(rep.q_values) == 2
-        assert len(rep.energy_quotients) == len(rep.norm_quotients) == 2

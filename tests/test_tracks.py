@@ -10,6 +10,7 @@ import pytest
 
 from mskit.energy import (
     EnergyParams,
+    boundary_trace_integral,
     compatibility_check,
     energy,
     interface_measure,
@@ -66,7 +67,8 @@ def slice_series(traj, p, h):
         slc = interface_measure(state, EPS_PHYS)
         times.append(t)
         slices.append(slc)
-        totals.append(slc.slice_energy(p).total)
+        totals.append(p.c0 * slc.density.integral() + p.cos_alpha * p.c0
+                      * boundary_trace_integral(state.values, state.domain))
     return tuple(times), tuple(slices), tuple(totals)
 
 
