@@ -10,6 +10,7 @@ and measures the dual-metric distance between the difference quotient
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,26 +34,55 @@ _MEMBER_TOL = 1e-8
 DEFAULT_S_FRACTIONS = (0.08, 0.04, 0.02, 0.01)
 
 
+def _ghost_pad(components):
+    """Components padded by one ghost layer on every side.
+
+    The ghost cells hold the face reflections of the interpolant: even
+    across every face, negated across the faces normal to the component's
+    own axis.
+    """
+    padded = []
+    for a, comp in enumerate(components):
+        out = np.pad(comp, 1, mode="symmetric")
+        for face in (0, -1):
+            ghost = [slice(None)] * out.ndim
+            ghost[a] = face
+            np.negative(out[tuple(ghost)], out=out[tuple(ghost)])
+        padded.append(out)
+    return tuple(padded)
+
+
 def _interp_vector(components, grid, pts):
     """Multilinear interpolation of a vector field at points.
 
     pts is a list of per-axis coordinate arrays (any common shape). Each
     component reflects oddly across the faces it is normal to and evenly
-    across the others, so the interpolant vanishes on its own walls. The
-    cell stencil is computed once and shared by all components.
+    across the others, so the interpolant vanishes on its own walls.
+    components are either on the grid or already ghost-padded by
+    `_ghost_pad`; callers that interpolate one field many times pad it
+    once. The cell stencil is computed once and shared by all components.
+    On an axis where every base index lies in [-1, n-1] the stencil reads
+    the ghost layer directly; otherwise indices fold into the box by face
+    reflection and the odd sign is applied explicitly.
     """
     d = grid.d
     h = grid.spacing
+    if components[0].shape == grid.shape:
+        components = _ghost_pad(components)
     frac, flat, signs = [], [], []
     for b in range(d):
         n = grid.dims[b]
-        stride = math.prod(grid.dims[b + 1:])
+        stride = math.prod(m + 2 for m in grid.dims[b + 1:])
         t = pts[b] / h[b] - 0.5
         base = np.floor(t)
         f = t - base
         frac.append((1.0 - f, f))
         i = base.astype(np.int64)
-        beyond = i.size > 0 and (i.min() < -n or i.max() + 1 >= 2 * n)
+        if i.size == 0 or (i.min() >= -1 and i.max() <= n - 1):
+            flat.append(((i + 1) * stride, (i + 2) * stride))
+            signs.append(None)
+            continue
+        beyond = i.min() < -n or i.max() + 1 >= 2 * n
         offsets, flips = [], []
         for j in (i, i + 1):
             # fold into the box by face reflection: np.mod first only when
@@ -63,7 +93,7 @@ def _interp_vector(components, grid, pts):
             idx = np.where(j < 0, -1 - j, j)
             idx = np.minimum(idx, 2 * n - 1 - idx)
             flips.append(np.where(idx != j, -1.0, 1.0))
-            offsets.append(idx * stride)
+            offsets.append((idx + 1) * stride)
         flat.append(offsets)
         signs.append(flips)
     out = [np.zeros(np.shape(pts[0])) for _ in range(d)]
@@ -75,8 +105,10 @@ def _interp_vector(components, grid, pts):
             w = w * frac[b][bits[b]]
             offset = offset + flat[b][bits[b]]
         for a in range(d):
-            sign = signs[a][bits[a]]
-            out[a] += w * sign * np.take(components[a], offset)
+            if signs[a] is None:
+                out[a] += w * np.take(components[a], offset)
+            else:
+                out[a] += w * signs[a][bits[a]] * np.take(components[a], offset)
     return out
 
 
@@ -96,7 +128,7 @@ def _flow_displacement(B, grid, s):
     speed = B.max_norm()
     n_sub = max(1, int(np.ceil(abs(s) * speed / (_CFL_FRACTION * min(grid.spacing)))))
     dt = s / n_sub
-    comps = B.components
+    comps = _ghost_pad(B.components)
     for _ in range(n_sub):
         k1 = _interp_vector(comps, grid, X)
         k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
@@ -118,9 +150,10 @@ def _inverse_displacement(disp, grid):
     centers = _cell_center_mesh(grid)
     dinv = [np.zeros(grid.shape) for _ in range(grid.d)]
     tol = 1e-8 * min(grid.spacing)
+    comps = _ghost_pad(disp.components)
     for _ in range(_INVERSE_MAX_ITERS):
         pts = [centers[a] + dinv[a] for a in range(grid.d)]
-        fwd = _interp_vector(disp.components, grid, pts)
+        fwd = _interp_vector(comps, grid, pts)
         delta = max(
             float(np.max(np.abs(-fwd[a] - dinv[a]))) for a in range(grid.d)
         )
@@ -142,9 +175,15 @@ class FlowMap:
     displacement: VectorField
     inverse_displacement: VectorField
 
+    @cached_property
+    def _padded(self):
+        """Ghost-padded forward and inverse displacements, built on first use."""
+        return (_ghost_pad(self.displacement.components),
+                _ghost_pad(self.inverse_displacement.components))
+
     def forward_points(self, pts):
         grid = self.domain
-        off = _interp_vector(self.displacement.components, grid, pts)
+        off = _interp_vector(self._padded[0], grid, pts)
         return [pts[a] + off[a] for a in range(grid.d)]
 
     def inverse_points(self, pts):
@@ -155,10 +194,11 @@ class FlowMap:
         interpolation bias of the gridded field.
         """
         grid = self.domain
-        off = _interp_vector(self.inverse_displacement.components, grid, pts)
+        fwd_comps, inv_comps = self._padded
+        off = _interp_vector(inv_comps, grid, pts)
         out = [pts[a] + off[a] for a in range(grid.d)]
         for _ in range(3):
-            fwd = _interp_vector(self.displacement.components, grid, out)
+            fwd = _interp_vector(fwd_comps, grid, out)
             out = [pts[a] - fwd[a] for a in range(grid.d)]
         return out
 
@@ -171,8 +211,6 @@ def _identity_map(grid):
 
 
 def _build_map(B, grid, s):
-    if s == 0.0:
-        return _identity_map(grid)
     disp = _flow_displacement(B, grid, s)
     return FlowMap(
         domain=grid,
@@ -249,10 +287,15 @@ def flow_deform(chi, B, s):
     """Deform chi by the flow of B over parameter s.
 
     Returns the flow map and the deformed field (cell averages in [0,1]).
-    The map is composed with a flow along the volume pairing direction,
-    its parameter found by bisection, so the deformed mass matches m0 to a
-    fixed fraction of the domain volume; if the bisection ends short of
-    that tolerance, ValueError is raised.
+    The map is composed with a flow of xi (the volume pairing direction)
+    over a parameter sigma chosen so the deformed mass matches m0 to a
+    fixed fraction of the domain volume. The search starts at the
+    linearised parameter -drift / <chi, xi> (sigma = 0 is the plain
+    deformation, already pulled back), doubles it while the mass stays
+    short of the target, then bisects the bracket. Every evaluation counts
+    against one step cap; ValueError is raised if the cap is reached short
+    of the tolerance, or if bracketing would need sigma * |xi|_inf beyond
+    the box diameter.
     """
     grid = chi.domain
     _require_member(chi, B)
@@ -268,44 +311,32 @@ def flow_deform(chi, B, s):
         return fmap, PhaseField(grid, vals, binary=False)
 
     xi = construct_xi(chi, mollification_width(grid))
-
-    def mass_at(sigma):
-        cmap = _build_map(xi, grid, sigma)
-        v = _pullback(chi, [cmap, fmap])
-        return float(v.mean()) * grid.volume, v, cmap
-
-    # the pairing of xi is positive, so mass grows along its flow
-    width = max(abs(drift) / max(abs(constraint_integral(chi, xi)), 1e-12),
-                min(grid.spacing))
-    lo, hi = (-2.0 * width, 0.0) if drift > 0 else (0.0, 2.0 * width)
-    m_lo, v_lo, map_lo = mass_at(lo)
-    m_hi, v_hi, map_hi = mass_at(hi)
-    grow = 0
-    while not (min(m_lo, m_hi) <= chi.m0 <= max(m_lo, m_hi)):
-        lo, hi = 2.0 * lo - width, 2.0 * hi + width
-        m_lo, v_lo, map_lo = mass_at(lo)
-        m_hi, v_hi, map_hi = mass_at(hi)
-        grow += 1
-        if grow > 40:
-            raise ValueError("mass correction failed to bracket the target")
-    best = (v_lo, map_lo) if abs(m_lo - chi.m0) < abs(m_hi - chi.m0) else (v_hi, map_hi)
+    diameter = math.sqrt(sum(L * L for L in grid.lengths))
+    speed = xi.max_norm()
+    # the pairing of xi is positive, so mass grows along its flow; `short`
+    # is the parameter whose miss has the sign of drift (sigma = 0 first),
+    # `over` the first found on the other side of the target
+    sigma = -drift / max(abs(constraint_integral(chi, xi)), 1e-12)
+    short, over = 0.0, None
+    best = drift
     for _ in range(_MASS_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        m_mid, v_mid, map_mid = mass_at(mid)
-        if abs(m_mid - chi.m0) < abs(best[0].mean() * grid.volume - chi.m0):
-            best = (v_mid, map_mid)
-        if abs(m_mid - chi.m0) <= mass_tol:
+        if abs(sigma) * speed > diameter:
+            raise ValueError("mass correction failed to bracket the target")
+        cmap = _build_map(xi, grid, sigma)
+        vals = _pullback(chi, [cmap, fmap])
+        miss = float(vals.mean()) * grid.volume - chi.m0
+        if abs(miss) <= mass_tol:
             break
-        if (m_mid - chi.m0) * (m_lo - chi.m0) > 0:
-            lo, m_lo = mid, m_mid
+        best = min(best, miss, key=abs)
+        if miss * drift > 0:
+            short = sigma
         else:
-            hi, m_hi = mid, m_mid
-    vals, cmap = best
-    drift = float(vals.mean()) * grid.volume - chi.m0
-    if abs(drift) > mass_tol:
+            over = sigma
+        sigma = 2.0 * sigma if over is None else 0.5 * (short + over)
+    else:
         raise ValueError(
             "mass correction did not converge in %d bisection steps: "
-            "drift %.3e vs mass_tol %.3e" % (_MASS_BISECT_STEPS, drift, mass_tol)
+            "drift %.3e vs mass_tol %.3e" % (_MASS_BISECT_STEPS, best, mass_tol)
         )
 
     centers = _cell_center_mesh(grid)

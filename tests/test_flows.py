@@ -6,11 +6,19 @@ from mskit import flows
 from mskit.energy import (
     constraint_integral,
     default_tangential_fields,
+    mollification_width,
     velocity_pairing_field,
 )
-from mskit.fields import MeanZeroField, VectorField, hminus_norm_sq, make_grid
+from mskit.fields import (
+    MeanZeroField,
+    VectorField,
+    hminus_norm_sq,
+    make_grid,
+    vector_from_callables,
+)
 from mskit.flows import (
     _build_map,
+    _ghost_pad,
     _interp_vector,
     _pullback,
     construct_xi,
@@ -18,8 +26,20 @@ from mskit.flows import (
     project_to_S_chi,
     velocity_convergence_check,
 )
+from mskit.scenarios import default_scenarios, make_initial
 
 import shapes
+
+# r(s) of `mskit check flows` (64^2 ball, projected rotation field)
+CHECK_FLOWS_R = (
+    0.013479389720302229,
+    0.015036817455229211,
+    0.017724416791066955,
+    0.02575791612709803,
+)
+# pullbacks of `mskit check flows` over its four s values: one plain
+# deformation each, then a mass search started at its linearised parameter
+CHECK_FLOWS_MAX_PULLBACKS = 41
 
 # Analytic dual norm of the pairing field for the mid-plane stripe under
 # B = (sin(pi x) cos(2 pi y), 0): expanding the interface line measure in
@@ -107,6 +127,22 @@ def _interp_component_reference(comp, grid, pts, odd_axis):
     return out
 
 
+@pytest.fixture(scope="module")
+def check_flows_case():
+    """The ball and projected rotation field of `mskit check flows`."""
+    chi = make_initial(
+        next(s for s in default_scenarios(64) if s.name == "ball")
+    )
+    grid = chi.domain
+    B = vector_from_callables(
+        grid,
+        (lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y),
+         lambda x, y: -np.sin(np.pi * y) * np.cos(np.pi * x)),
+    )
+    xi = construct_xi(chi, mollification_width(grid))
+    return chi, project_to_S_chi(B, chi, xi)
+
+
 @st.composite
 def interpolation_cases(draw):
     d = draw(st.sampled_from((2, 3)))
@@ -138,6 +174,30 @@ class TestInterpolation:
             assert out[a].shape == ref.shape
             assert np.array_equal(out[a], ref)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from((2, 3)),
+        st.sampled_from((0.5, 1.0)),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    def test_ghost_layer_bit_identical_to_reference(self, d, cells, seed):
+        # points up to `cells` cells beyond the faces: half a cell reads the
+        # ghost layer on every axis, one cell also folds some axes
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(n) for n in rng.integers(8, 14, d))
+        lengths = tuple(float(L) for L in rng.choice((0.5, 1.0, 1.7), d))
+        grid = make_grid(d, dims, lengths)
+        comps = [rng.standard_normal(dims) for _ in range(d)]
+        pts = []
+        for L, h in zip(lengths, grid.spacing):
+            x = rng.uniform(-cells * h, L + cells * h, 48)
+            x[:4] = (0.0, L, -cells * h, L - 1e-9 * h)
+            pts.append(rng.permutation(x).reshape(6, 8))
+        out = _interp_vector(_ghost_pad(comps), grid, pts)
+        for a in range(d):
+            ref = _interp_component_reference(comps[a], grid, pts, a)
+            assert np.array_equal(out[a], ref)
+
     def test_empty_points(self):
         g = make_grid(2, (8, 8), (1.0, 1.0))
         comps = [np.ones(g.dims), np.ones(g.dims)]
@@ -159,6 +219,31 @@ class TestSolverFailures:
             ValueError, match=r"in 1 bisection steps: drift .* vs mass_tol"
         ):
             flow_deform(disk64, member64, 0.04)
+
+    def test_mass_bracket_raises(self, monkeypatch):
+        chi = shapes.binary_disk(grid2(32), (0.5, 0.5), 0.3)
+        xi = construct_xi(chi, mollification_width(chi.domain))
+        B = project_to_S_chi(
+            default_tangential_fields(chi.domain)[1], chi, xi
+        )
+        # a resampling that never moves mass can never reach the target;
+        # identity maps keep every evaluation cheap, whatever its parameter
+        stuck = np.where(chi.values > 0.5, 0.9, 0.0)
+        sigmas = []
+
+        def build(field, grid, s):
+            sigmas.append(s)
+            return flows._identity_map(grid)
+
+        monkeypatch.setattr(flows, "_pullback", lambda chi, maps: stuck)
+        monkeypatch.setattr(flows, "_build_map", build)
+        with pytest.raises(ValueError, match="failed to bracket the target"):
+            flow_deform(chi, B, 0.04)
+        # the growth stops at its first parameter beyond the box diameter,
+        # before building that map (the first build is the deformation)
+        reach = np.sqrt(2.0) / xi.max_norm()
+        grown = [abs(x) for x in sigmas[1:]]
+        assert max(grown) <= reach < 2.0 * max(grown)
 
 
 class TestProjection:
@@ -294,6 +379,20 @@ class TestVelocityConvergence:
         rep = velocity_convergence_check(disk64, zero_field(disk64.domain))
         assert rep.r_values == (0.0, 0.0, 0.0, 0.0)
         assert rep.monotone
+
+    def test_check_flows_pullback_count(self, check_flows_case, monkeypatch):
+        chi, B = check_flows_case
+        calls = []
+        pullback = flows._pullback
+
+        def counted(*args):
+            calls.append(1)
+            return pullback(*args)
+
+        monkeypatch.setattr(flows, "_pullback", counted)
+        rep = velocity_convergence_check(chi, B)
+        assert len(calls) <= CHECK_FLOWS_MAX_PULLBACKS
+        assert rep.r_values == pytest.approx(CHECK_FLOWS_R, rel=1e-12)
 
     def test_stripe_direction_monotone(self):
         g = grid2()
