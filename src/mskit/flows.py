@@ -5,6 +5,8 @@ a one-parameter family of box-preserving deformations. This module
 integrates those deformations, pulls indicator fields back through them,
 and measures the dual-metric distance between the difference quotient
 (deformed - chi)/s and the pairing field B . grad(chi) it converges to.
+The flow of B over -s inverts its flow over s, so one integrator builds
+every map and its inverse.
 """
 
 import itertools
@@ -24,7 +26,6 @@ from .energy import (
 )
 from .diagnostics import construct_xi
 
-_INVERSE_MAX_ITERS = 50
 _MASS_BISECT_STEPS = 80
 _SUPERSAMPLE = 4
 _CFL_FRACTION = 0.1
@@ -141,37 +142,15 @@ def _flow_displacement(B, grid, s):
     )
 
 
-def _inverse_displacement(disp, grid):
-    """Displacement of the inverse map by fixed-point iteration.
-
-    Raises ValueError if the iteration cap is reached before the update
-    falls below the tolerance.
-    """
-    centers = _cell_center_mesh(grid)
-    dinv = [np.zeros(grid.shape) for _ in range(grid.d)]
-    tol = 1e-8 * min(grid.spacing)
-    comps = _ghost_pad(disp.components)
-    for _ in range(_INVERSE_MAX_ITERS):
-        pts = [centers[a] + dinv[a] for a in range(grid.d)]
-        fwd = _interp_vector(comps, grid, pts)
-        delta = max(
-            float(np.max(np.abs(-fwd[a] - dinv[a]))) for a in range(grid.d)
-        )
-        dinv = [-fwd[a] for a in range(grid.d)]
-        if delta <= tol:
-            return VectorField(grid, dinv, tangential=True)
-    raise ValueError(
-        "inverse flow map did not converge in %d iterations: "
-        "delta %.3e vs tol %.3e" % (_INVERSE_MAX_ITERS, delta, tol)
-    )
-
-
 @dataclass(frozen=True)
 class FlowMap:
-    """A box-preserving deformation x -> x + displacement(x)."""
+    """A box-preserving deformation x -> x + displacement(x).
+
+    For the flow of B over s, inverse_displacement is the displacement
+    of the reverse flow: the flow of B over -s.
+    """
 
     domain: object
-    s: float
     displacement: VectorField
     inverse_displacement: VectorField
 
@@ -181,17 +160,12 @@ class FlowMap:
         return (_ghost_pad(self.displacement.components),
                 _ghost_pad(self.inverse_displacement.components))
 
-    def forward_points(self, pts):
-        grid = self.domain
-        off = _interp_vector(self._padded[0], grid, pts)
-        return [pts[a] + off[a] for a in range(grid.d)]
-
     def inverse_points(self, pts):
         """Invert x -> x + displacement(x) at the given points.
 
-        The gridded inverse displacement warm-starts a few fixed-point
-        refinements against the forward displacement, which removes the
-        interpolation bias of the gridded field.
+        The gridded reverse-flow displacement warm-starts three
+        fixed-point refinements against the forward displacement, which
+        remove the interpolation bias of the gridded field.
         """
         grid = self.domain
         fwd_comps, inv_comps = self._padded
@@ -203,20 +177,11 @@ class FlowMap:
         return out
 
 
-def _identity_map(grid):
-    zero = VectorField(
-        grid, [np.zeros(grid.shape) for _ in range(grid.d)], tangential=True
-    )
-    return FlowMap(domain=grid, s=0.0, displacement=zero, inverse_displacement=zero)
-
-
 def _build_map(B, grid, s):
-    disp = _flow_displacement(B, grid, s)
     return FlowMap(
         domain=grid,
-        s=s,
-        displacement=disp,
-        inverse_displacement=_inverse_displacement(disp, grid),
+        displacement=_flow_displacement(B, grid, s),
+        inverse_displacement=_flow_displacement(B, grid, -s),
     )
 
 
@@ -286,29 +251,30 @@ def project_to_S_chi(B_raw, chi, xi):
 def flow_deform(chi, B, s):
     """Deform chi by the flow of B over parameter s.
 
-    Returns the flow map and the deformed field (cell averages in [0,1]).
-    The map is composed with a flow of xi (the volume pairing direction)
-    over a parameter sigma chosen so the deformed mass matches m0 to a
-    fixed fraction of the domain volume. The search starts at the
-    linearised parameter -drift / <chi, xi> (sigma = 0 is the plain
-    deformation, already pulled back), doubles it while the mass stays
-    short of the target, then bisects the bracket. Every evaluation counts
-    against one step cap; ValueError is raised if the cap is reached short
-    of the tolerance, or if bracketing would need sigma * |xi|_inf beyond
-    the box diameter.
+    Returns (maps, deformed): the flow maps the pullback applied, in the
+    order it applied their inverses, and the deformed field (cell averages
+    in [0,1]). maps is () at s = 0, (fmap,) when the flow of B keeps the
+    mass, and (cmap, fmap) after a mass correction: cmap is the flow of xi
+    (the volume pairing direction) over a parameter sigma chosen so the
+    deformed mass matches m0 to a fixed fraction of the domain volume.
+    The search starts at the linearised parameter -drift / <chi, xi>
+    (sigma = 0 is the plain deformation, already pulled back), doubles it
+    while the mass stays short of the target, then bisects the bracket.
+    Every evaluation counts against one step cap; ValueError is raised if
+    the cap is reached short of the tolerance, or if bracketing would need
+    sigma * |xi|_inf beyond the box diameter.
     """
     grid = chi.domain
     _require_member(chi, B)
     if s == 0.0:
-        fmap = _identity_map(grid)
-        return fmap, PhaseField(grid, chi.values.copy(), binary=chi.binary)
+        return (), PhaseField(grid, chi.values.copy(), binary=chi.binary)
 
     fmap = _build_map(B, grid, s)
-    vals = _pullback(chi, [fmap])
+    vals = _pullback(chi, (fmap,))
     mass_tol = _MASS_TOL_FRACTION * grid.volume
     drift = float(vals.mean()) * grid.volume - chi.m0
     if abs(drift) <= mass_tol:
-        return fmap, PhaseField(grid, vals, binary=False)
+        return (fmap,), PhaseField(grid, vals, binary=False)
 
     xi = construct_xi(chi, mollification_width(grid))
     diameter = math.sqrt(sum(L * L for L in grid.lengths))
@@ -323,7 +289,7 @@ def flow_deform(chi, B, s):
         if abs(sigma) * speed > diameter:
             raise ValueError("mass correction failed to bracket the target")
         cmap = _build_map(xi, grid, sigma)
-        vals = _pullback(chi, [cmap, fmap])
+        vals = _pullback(chi, (cmap, fmap))
         miss = float(vals.mean()) * grid.volume - chi.m0
         if abs(miss) <= mass_tol:
             break
@@ -339,20 +305,7 @@ def flow_deform(chi, B, s):
             "drift %.3e vs mass_tol %.3e" % (_MASS_BISECT_STEPS, best, mass_tol)
         )
 
-    centers = _cell_center_mesh(grid)
-    fwd = cmap.forward_points(fmap.forward_points(centers))
-    inv = fmap.inverse_points(cmap.inverse_points(centers))
-    total = FlowMap(
-        domain=grid,
-        s=s,
-        displacement=VectorField(
-            grid, [fwd[a] - centers[a] for a in range(grid.d)], tangential=True
-        ),
-        inverse_displacement=VectorField(
-            grid, [inv[a] - centers[a] for a in range(grid.d)], tangential=True
-        ),
-    )
-    return total, PhaseField(grid, vals, binary=False)
+    return (cmap, fmap), PhaseField(grid, vals, binary=False)
 
 
 @dataclass(frozen=True)
@@ -374,7 +327,7 @@ def velocity_convergence_check(chi, B):
     g = velocity_pairing_field(chi, B)
     rs = []
     for s in s_values:
-        _fmap, deformed = flow_deform(chi, B, s)
+        _maps, deformed = flow_deform(chi, B, s)
         v = (deformed.values - chi.values) / s + g
         v = v - v.mean()
         rs.append(float(np.sqrt(hminus_norm_sq(MeanZeroField(grid, v)))))
