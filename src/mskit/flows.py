@@ -2,17 +2,16 @@
 
 A wall-tangential velocity field with vanishing volume pairing generates
 a one-parameter family of box-preserving deformations. This module
-integrates those deformations, pulls indicator fields back through them,
-and measures the dual-metric distance between the difference quotient
-(deformed - chi)/s and the pairing field B . grad(chi) it converges to.
-The flow of B over -s inverts its flow over s, so one integrator builds
-every map and its inverse.
+pulls indicator fields back through them and measures the dual-metric
+distance between the difference quotient (deformed - chi)/s and the
+pairing field B . grad(chi) it converges to. The flow of B over -s
+inverts its flow over s, so a map is stored as that reverse-flow
+displacement, ghost-padded, and applied by one interpolation.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,17 +58,15 @@ def _interp_vector(components, grid, pts):
     pts is a list of per-axis coordinate arrays (any common shape). Each
     component reflects oddly across the faces it is normal to and evenly
     across the others, so the interpolant vanishes on its own walls.
-    components are either on the grid or already ghost-padded by
-    `_ghost_pad`; callers that interpolate one field many times pad it
-    once. The cell stencil is computed once and shared by all components.
+    components are ghost-padded by `_ghost_pad`, once per field however
+    often it is interpolated. The cell stencil is computed once and
+    shared by all components.
     On an axis where every base index lies in [-1, n-1] the stencil reads
     the ghost layer directly; otherwise indices fold into the box by face
     reflection and the odd sign is applied explicitly.
     """
     d = grid.d
     h = grid.spacing
-    if components[0].shape == grid.shape:
-        components = _ghost_pad(components)
     frac, flat, signs = [], [], []
     for b in range(d):
         n = grid.dims[b]
@@ -119,10 +116,10 @@ def _cell_center_mesh(grid):
 
 
 def _flow_displacement(B, grid, s):
-    """Forward displacement of the flow of B over pseudo-time s.
+    """Displacement components of the flow of B over pseudo-time s.
 
-    Classical four-stage one-step integration; the substep count keeps
-    each move below a tenth of a cell.
+    Classical four-stage one-step integration from the cell centres; the
+    substep count keeps each move below a tenth of a cell.
     """
     start = _cell_center_mesh(grid)
     X = [c.copy() for c in start]
@@ -137,52 +134,16 @@ def _flow_displacement(B, grid, s):
         k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)])
         for a in range(grid.d):
             X[a] += dt / 6.0 * (k1[a] + 2 * k2[a] + 2 * k3[a] + k4[a])
-    return VectorField(
-        grid, [X[a] - start[a] for a in range(grid.d)], tangential=True
-    )
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """A box-preserving deformation x -> x + displacement(x).
-
-    For the flow of B over s, inverse_displacement is the displacement
-    of the reverse flow: the flow of B over -s.
-    """
-
-    domain: object
-    displacement: VectorField
-    inverse_displacement: VectorField
-
-    @cached_property
-    def _padded(self):
-        """Ghost-padded forward and inverse displacements, built on first use."""
-        return (_ghost_pad(self.displacement.components),
-                _ghost_pad(self.inverse_displacement.components))
-
-    def inverse_points(self, pts):
-        """Invert x -> x + displacement(x) at the given points.
-
-        The gridded reverse-flow displacement warm-starts three
-        fixed-point refinements against the forward displacement, which
-        remove the interpolation bias of the gridded field.
-        """
-        grid = self.domain
-        fwd_comps, inv_comps = self._padded
-        off = _interp_vector(inv_comps, grid, pts)
-        out = [pts[a] + off[a] for a in range(grid.d)]
-        for _ in range(3):
-            fwd = _interp_vector(fwd_comps, grid, out)
-            out = [pts[a] - fwd[a] for a in range(grid.d)]
-        return out
+    return [X[a] - start[a] for a in range(grid.d)]
 
 
 def _build_map(B, grid, s):
-    return FlowMap(
-        domain=grid,
-        displacement=_flow_displacement(B, grid, s),
-        inverse_displacement=_flow_displacement(B, grid, -s),
-    )
+    """The map that pulls a field back through the flow of B over s.
+
+    It is the inverse of that flow, the flow of B over -s, stored as its
+    displacement of the cell centres, ghost-padded for `_interp_vector`.
+    """
+    return _ghost_pad(_flow_displacement(B, grid, -s))
 
 
 def _lookup(values, grid, pts):
@@ -198,9 +159,10 @@ def _lookup(values, grid, pts):
 
 
 def _pullback(chi, maps):
-    """Cell averages of chi composed with the inverse maps, in order.
+    """Cell averages of chi composed with the maps of `_build_map`, in order.
 
-    Each cell is supersampled on a regular sub-lattice; the warped sample
+    Each cell is supersampled on a regular sub-lattice. A map moves the
+    sample points by one interpolation of its displacement; the warped
     points read the piecewise-constant chi directly, so the averages stay
     in [0,1] and the mass error is a resampling error only.
     """
@@ -212,8 +174,9 @@ def _pullback(chi, maps):
         pts = [
             centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)
         ]
-        for fmap in maps:
-            pts = fmap.inverse_points(pts)
+        for disp in maps:
+            off = _interp_vector(disp, grid, pts)
+            pts = [pts[a] + off[a] for a in range(grid.d)]
         acc += _lookup(chi.values, grid, pts)
     return acc / _SUPERSAMPLE ** grid.d
 
@@ -251,12 +214,13 @@ def project_to_S_chi(B_raw, chi, xi):
 def flow_deform(chi, B, s):
     """Deform chi by the flow of B over parameter s.
 
-    Returns (maps, deformed): the flow maps the pullback applied, in the
-    order it applied their inverses, and the deformed field (cell averages
-    in [0,1]). maps is () at s = 0, (fmap,) when the flow of B keeps the
-    mass, and (cmap, fmap) after a mass correction: cmap is the flow of xi
-    (the volume pairing direction) over a parameter sigma chosen so the
-    deformed mass matches m0 to a fixed fraction of the domain volume.
+    Returns (maps, deformed): the maps of `_build_map` the pullback
+    applied, in order, and the deformed field (cell averages in [0,1]).
+    Each map is a ghost-padded reverse-flow displacement. maps is () at
+    s = 0, (fmap,) when the flow of B keeps the mass, and (cmap, fmap)
+    after a mass correction: cmap is built from the flow of xi (the volume
+    pairing direction) over a parameter sigma chosen so the deformed mass
+    matches m0 to a fixed fraction of the domain volume.
     The search starts at the linearised parameter -drift / <chi, xi>
     (sigma = 0 is the plain deformation, already pulled back), doubles it
     while the mass stays short of the target, then bisects the bracket.
@@ -310,7 +274,6 @@ def flow_deform(chi, B, s):
 
 @dataclass(frozen=True)
 class VelocityReport:
-    s_values: tuple
     r_values: tuple
     monotone: bool
 
@@ -332,6 +295,4 @@ def velocity_convergence_check(chi, B):
         v = v - v.mean()
         rs.append(float(np.sqrt(hminus_norm_sq(MeanZeroField(grid, v)))))
     monotone = all(b <= a + 1e-12 for a, b in zip(rs, rs[1:]))
-    return VelocityReport(
-        s_values=s_values, r_values=tuple(rs), monotone=monotone
-    )
+    return VelocityReport(r_values=tuple(rs), monotone=monotone)

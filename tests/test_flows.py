@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,9 @@ from mskit.fields import (
     vector_from_callables,
 )
 from mskit.flows import (
+    _CFL_FRACTION,
     _MASS_TOL_FRACTION,
-    FlowMap,
+    _SUPERSAMPLE,
     _build_map,
     _ghost_pad,
     _interp_vector,
@@ -39,10 +42,13 @@ CHECK_FLOWS_R = (
     0.017724416791066955,
     0.02575791612709803,
 )
-# pullbacks of `mskit check flows` over its four s values: one plain
-# deformation each, then a mass search started at its linearised parameter;
-# 34 is the measured count, with every inverse map the reverse flow
-CHECK_FLOWS_MAX_PULLBACKS = 34
+# `_interp_vector` calls of `mskit check flows` over its four s values:
+# each interpolates one grid's worth of points and together they are the
+# cost. The RK4 stages that build each map, then one call per map for each
+# supersample shift of each pullback (38 pullbacks: one plain deformation
+# per s, then a mass search started at its linearised parameter); 1680 is
+# the measured count
+CHECK_FLOWS_MAX_INTERPOLATIONS = 1680
 
 # Analytic dual norm of the pairing field for the mid-plane stripe under
 # B = (sin(pi x) cos(2 pi y), 0): expanding the interface line measure in
@@ -65,6 +71,45 @@ def negate(B):
     return VectorField(
         B.domain, tuple(-c for c in B.components), tangential=True
     )
+
+
+def apply_map(disp, grid, pts):
+    off = _interp_vector(disp, grid, pts)
+    return [p + o for p, o in zip(pts, off)]
+
+
+def backward_pullback_reference(chi, B, s):
+    """Cell averages of chi read at the supersample points flowed by -s.
+
+    Each point is integrated backwards on its own with the RK4 substeps
+    of a flow map, so no gridded displacement is interpolated: this is the
+    true inverse of the flow of B, kept as the oracle for `_pullback`.
+    """
+    grid = chi.domain
+    comps = _ghost_pad(B.components)
+    n_sub = max(1, int(np.ceil(
+        abs(s) * B.max_norm() / (_CFL_FRACTION * min(grid.spacing))
+    )))
+    dt = -s / n_sub
+    axes = [grid.cell_centers(a) for a in range(grid.d)]
+    centers = np.meshgrid(*axes, indexing="ij")
+    offs = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
+    acc = np.zeros(grid.shape)
+    for shift in itertools.product(offs, repeat=grid.d):
+        X = [c + o * h for c, o, h in zip(centers, shift, grid.spacing)]
+        for _ in range(n_sub):
+            k1 = _interp_vector(comps, grid, X)
+            k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
+            k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)])
+            k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)])
+            X = [x + dt / 6.0 * (a + 2 * b + 2 * c + e)
+                 for x, a, b, c, e in zip(X, k1, k2, k3, k4)]
+        idx = tuple(
+            np.clip(np.floor(x / h).astype(np.int64), 0, n - 1)
+            for x, h, n in zip(X, grid.spacing, grid.dims)
+        )
+        acc += chi.values[idx]
+    return acc / _SUPERSAMPLE ** grid.d
 
 
 def resample_floor(chi):
@@ -171,7 +216,7 @@ class TestInterpolation:
             x = rng.uniform(-reach * L, (1.0 + reach) * L, 48)
             x[:4] = (0.0, L, 0.0, L)  # on the faces
             pts.append(rng.permutation(x).reshape(6, 8))
-        out = _interp_vector(comps, grid, pts)
+        out = _interp_vector(_ghost_pad(comps), grid, pts)
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert out[a].shape == ref.shape
@@ -203,7 +248,7 @@ class TestInterpolation:
 
     def test_empty_points(self):
         g = make_grid(2, (8, 8), (1.0, 1.0))
-        comps = [np.ones(g.dims), np.ones(g.dims)]
+        comps = _ghost_pad([np.ones(g.dims), np.ones(g.dims)])
         out = _interp_vector(comps, g, [np.zeros(0), np.zeros(0)])
         assert [o.shape for o in out] == [(0,), (0,)]
 
@@ -229,10 +274,7 @@ class TestSolverFailures:
 
         def build(field, grid, s):
             sigmas.append(s)
-            zero = zero_field(grid)
-            return FlowMap(
-                domain=grid, displacement=zero, inverse_displacement=zero
-            )
+            return _ghost_pad(zero_field(grid).components)
 
         monkeypatch.setattr(flows, "_pullback", lambda chi, maps: stuck)
         monkeypatch.setattr(flows, "_build_map", build)
@@ -289,47 +331,50 @@ class TestFlowMapGeometry:
         assert maps == ()
 
     def test_inverse_is_reverse_flow(self, disk64, member64):
+        # the map over s is the flow of B over -s, which is the flow of -B
+        # over s
         g = disk64.domain
         s = 0.05
-        inv = _build_map(member64, g, s).inverse_displacement.components
-        for other in (
-            _build_map(member64, g, -s).displacement.components,
-            _build_map(negate(member64), g, s).displacement.components,
-        ):
-            for a, b in zip(inv, other):
-                assert np.array_equal(a, b)
+        fmap = _build_map(member64, g, s)
+        other = _build_map(negate(member64), g, -s)
+        for a, b in zip(fmap, other):
+            assert np.array_equal(a, b)
 
     def test_forward_inverse_roundtrip(self, disk64, member64):
+        # the map over -s moves forward over s; the two gridded flows invert
+        # each other up to their interpolation error, which is O(h^2) and
+        # about 0.2-0.3% of a cell here
         g = disk64.domain
-        fmap = _build_map(member64, g, 0.05)
         xs = np.linspace(0.05, 0.95, 7)
         pts = [m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")]
-        # the refined inverse solves y + displacement(y) = x
-        inv = fmap.inverse_points(pts)
-        off = _interp_vector(fmap.displacement.components, g, inv)
-        diam = float(np.sqrt(sum(L * L for L in g.lengths)))
-        err = max(np.max(np.abs(y + o - p)) for y, o, p in zip(inv, off, pts))
-        assert err <= 1e-6 * diam
-        # inverting the map over -s moves forward over s; the two gridded
-        # flows invert each other up to their interpolation error, which
-        # is O(h^2) and about 0.2% of a cell here
-        fwd = _build_map(member64, g, -0.05).inverse_points(pts)
-        back = fmap.inverse_points(fwd)
+        fwd = apply_map(_build_map(member64, g, -0.05), g, pts)
+        back = apply_map(_build_map(member64, g, 0.05), g, fwd)
         err = max(np.max(np.abs(b - p)) for b, p in zip(back, pts))
         assert err <= 0.01 * min(g.spacing)
 
     def test_walls_map_to_themselves(self, disk64, member64):
-        fmap = _build_map(member64, disk64.domain, 0.05)
+        g = disk64.domain
+        fmap = _build_map(member64, g, 0.05)
         ys = np.linspace(0.0, 1.0, 33)
-        # the wall-normal offset cancels between ghost and interior corners,
-        # exactly up to the round-off of summing them at off-node points
-        tol = 1e-15
+        # the wall-normal offset cancels exactly between ghost and interior
+        # corners
         for x0 in (0.0, 1.0):
-            fx, _ = fmap.inverse_points([np.full_like(ys, x0), ys])
-            assert np.max(np.abs(fx - x0)) <= tol
+            fx, _ = apply_map(fmap, g, [np.full_like(ys, x0), ys])
+            assert np.all(fx == x0)
         for y0 in (0.0, 1.0):
-            _, fy = fmap.inverse_points([ys, np.full_like(ys, y0)])
-            assert np.max(np.abs(fy - y0)) <= tol
+            _, fy = apply_map(fmap, g, [ys, np.full_like(ys, y0)])
+            assert np.all(fy == y0)
+
+    @pytest.mark.parametrize("n, s", [(32, -0.02), (64, 0.04)])
+    def test_pullback_matches_backward_flow(self, n, s):
+        # one interpolation of the reverse-flow displacement lands every
+        # supersample point in the cell its own backward flow reaches
+        chi = shapes.binary_disk(grid2(n), (0.5, 0.5), 0.3)
+        g = chi.domain
+        xi = construct_xi(chi, mollification_width(g))
+        B = project_to_S_chi(default_tangential_fields(g)[4], chi, xi)
+        vals = _pullback(chi, (_build_map(B, g, s),))
+        assert np.array_equal(vals, backward_pullback_reference(chi, B, s))
 
     def test_reverse_flow_composition(self, disk64, member64):
         """The backward flow map undoes the forward one before resampling."""
@@ -416,18 +461,18 @@ class TestVelocityConvergence:
         assert rep.r_values == (0.0, 0.0, 0.0, 0.0)
         assert rep.monotone
 
-    def test_check_flows_pullback_count(self, check_flows_case, monkeypatch):
+    def test_check_flows_interpolation_count(self, check_flows_case, monkeypatch):
         chi, B = check_flows_case
         calls = []
-        pullback = flows._pullback
+        interp = flows._interp_vector
 
         def counted(*args):
             calls.append(1)
-            return pullback(*args)
+            return interp(*args)
 
-        monkeypatch.setattr(flows, "_pullback", counted)
+        monkeypatch.setattr(flows, "_interp_vector", counted)
         rep = velocity_convergence_check(chi, B)
-        assert len(calls) <= CHECK_FLOWS_MAX_PULLBACKS
+        assert len(calls) <= CHECK_FLOWS_MAX_INTERPOLATIONS
         assert rep.r_values == pytest.approx(CHECK_FLOWS_R, rel=1e-12)
 
     def test_stripe_direction_monotone(self):
