@@ -229,10 +229,9 @@ def _taper_profile(x, L, margin):
     return 0.5 - 0.5 * np.cos(np.pi * t)
 
 
-def tapered_dilation(grid, center, margin=None):
+def tapered_dilation(grid, center):
     """Dilation about `center`, smoothly switched off near the walls."""
-    if margin is None:
-        margin = 4.0 * max(grid.spacing)
+    margin = mollification_width(grid)
 
     def comp(a):
         def fn(*meshes):
@@ -288,7 +287,7 @@ def default_tangential_fields(grid, count=8):
     fields.append(tapered_dilation(grid, center))
 
     if grid.d == 2:
-        margin = 4.0 * max(grid.spacing)
+        margin = mollification_width(grid)
 
         def rot_x(x, y):
             t = (_taper_profile(x, L[0], margin)
@@ -301,7 +300,7 @@ def default_tangential_fields(grid, count=8):
             return t * (x - center[0])
 
         fields.append(vector_from_callables(grid, [rot_x, rot_y]))
-    return fields[:count] if count is not None else fields
+    return fields[:count]
 
 
 def default_wall_normal_fields(grid, p):

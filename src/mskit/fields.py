@@ -13,6 +13,15 @@ Real-space difference operators (forward with its exact adjoint, and
 centered with reflected ghosts) are kept separate from the spectral
 calculus: they serve the total-variation energy and the varifold
 diagnostics, where staircase fields make spectral differentiation useless.
+
+Wall reflection is one rule, applied by `_ghost_pad` for the centered
+stencils here and for the flow maps in `flows`: every component gets one
+ghost layer on every side that mirrors its boundary cell, and a
+wall-tangential field (zero normal component on the faces) also negates
+each component in the ghost layers across the faces normal to its own
+axis. The negation multiplies the ghost view in place, because numpy 2.4's
+`negative` ufunc, given a single-column view of some small arrays as its
+`out` (seen on 8 x 8), writes the negated first row into it.
 """
 
 from dataclasses import dataclass
@@ -329,8 +338,8 @@ def grad_forward_adjoint(ps, grid):
         def sl(lo, hi):
             return _axis_slice(grid, a, lo, hi)
 
-        # np.negative(..., out=<view>) miscomputes a single-column view of
-        # some square arrays (seen with numpy 2.4 on 8x8), so negate by copy
+        # negate by copy: the `negative` ufunc miscomputes into some
+        # single-column views (module docstring)
         acc[sl(0, 1)] = -p[sl(0, 1)]
         np.subtract(p[sl(0, n - 2)], p[sl(1, n - 1)], out=acc[sl(1, n - 1)])
         acc[sl(n - 1, n)] = p[sl(n - 2, n - 1)]
@@ -347,34 +356,37 @@ def tv_forward(values, grid):
     return float(mag.sum()) * grid.cell_volume
 
 
-def d_centered(values, axis, grid, ghost="even"):
-    """Centered difference along one axis with reflected ghost cells.
+def _ghost_pad(components, tangential):
+    """Components padded by one ghost layer on every side.
 
-    ghost="even" mirrors the boundary value (zero normal derivative),
-    ghost="odd" negates it (zero face value), which is the right convention
-    for the normal component of a wall-tangential vector field.
+    The ghosts follow the wall reflection rule of the module docstring,
+    with the odd sign only when `tangential` is set.
     """
-    h = grid.spacing[axis]
-    padded = np.pad(values, [(1, 1) if a == axis else (0, 0) for a in range(grid.d)],
-                    mode="edge")
-    if ghost == "odd":
-        first = [slice(None)] * grid.d
-        last = [slice(None)] * grid.d
-        first[axis] = slice(0, 1)
-        last[axis] = slice(-1, None)
-        padded[tuple(first)] *= -1.0
-        padded[tuple(last)] *= -1.0
-    elif ghost != "even":
-        raise ValueError("unknown ghost convention %r" % (ghost,))
-    up = [slice(None)] * grid.d
-    lo = [slice(None)] * grid.d
+    padded = []
+    for a, comp in enumerate(components):
+        out = np.pad(comp, 1, mode="edge")
+        if tangential:
+            for face in (0, -1):
+                ghost = [slice(None)] * out.ndim
+                ghost[a] = face
+                out[tuple(ghost)] *= -1.0
+        padded.append(out)
+    return tuple(padded)
+
+
+def _centered(padded, axis, grid):
+    """Centered difference along one axis of a `_ghost_pad` output, per cell."""
+    up = [slice(1, -1)] * grid.d
+    lo = [slice(1, -1)] * grid.d
     up[axis] = slice(2, None)
     lo[axis] = slice(0, -2)
-    return (padded[tuple(up)] - padded[tuple(lo)]) / (2.0 * h)
+    return (padded[tuple(up)] - padded[tuple(lo)]) / (2.0 * grid.spacing[axis])
 
 
 def grad_centered(values, grid):
-    return [d_centered(values, a, grid) for a in range(grid.d)]
+    """Centered gradient with even ghosts (zero normal derivative)."""
+    (padded,) = _ghost_pad((values,), tangential=False)
+    return [_centered(padded, a, grid) for a in range(grid.d)]
 
 
 def div_mirror(components, grid, tangential=False):
@@ -383,28 +395,23 @@ def div_mirror(components, grid, tangential=False):
     With tangential=True the normal component uses the odd reflection, so a
     wall-tangential field keeps zero flux through the faces.
     """
-    ghost = "odd" if tangential else "even"
     out = np.zeros(grid.shape)
-    for a in range(grid.d):
-        out += d_centered(components[a], a, grid, ghost=ghost)
+    for a, padded in enumerate(_ghost_pad(components, tangential)):
+        out += _centered(padded, a, grid)
     return out
 
 
 def jacobian(vec, grid):
     """All partials J[b][a] = d(component b)/d(axis a), centered stencils.
 
-    The derivative of component a along its own axis uses the odd ghost when
-    the field is wall tangential (the component changes sign across its
-    face); everything else mirrors evenly.
+    Each component is padded once, by the rule of `vec.tangential`, so on
+    a wall-tangential field only a component's derivative along its own
+    axis sees the odd ghost.
     """
-    J = []
-    for b in range(grid.d):
-        row = []
-        for a in range(grid.d):
-            ghost = "odd" if (vec.tangential and a == b) else "even"
-            row.append(d_centered(vec.components[b], a, grid, ghost=ghost))
-        J.append(row)
-    return J
+    return [
+        [_centered(padded, a, grid) for a in range(grid.d)]
+        for padded in _ghost_pad(vec.components, vec.tangential)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ pulls indicator fields back through them and measures the dual-metric
 distance between the difference quotient (deformed - chi)/s and the
 pairing field B . grad(chi) it converges to. The flow of B over -s
 inverts its flow over s, so a map is stored as that reverse-flow
-displacement, ghost-padded, and applied by one interpolation.
+displacement, ghost-padded by the tangential wall reflection of
+`fields`, and applied by one interpolation.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MeanZeroField, VectorField, hminus_norm_sq
+from .fields import MeanZeroField, VectorField, _ghost_pad, hminus_norm_sq
 from .energy import (
     PhaseField,
     constraint_integral,
@@ -34,33 +35,15 @@ _MEMBER_TOL = 1e-8
 DEFAULT_S_FRACTIONS = (0.08, 0.04, 0.02, 0.01)
 
 
-def _ghost_pad(components):
-    """Components padded by one ghost layer on every side.
-
-    The ghost cells hold the face reflections of the interpolant: even
-    across every face, negated across the faces normal to the component's
-    own axis.
-    """
-    padded = []
-    for a, comp in enumerate(components):
-        out = np.pad(comp, 1, mode="symmetric")
-        for face in (0, -1):
-            ghost = [slice(None)] * out.ndim
-            ghost[a] = face
-            np.negative(out[tuple(ghost)], out=out[tuple(ghost)])
-        padded.append(out)
-    return tuple(padded)
-
-
 def _interp_vector(components, grid, pts):
     """Multilinear interpolation of a vector field at points.
 
-    pts is a list of per-axis coordinate arrays (any common shape). Each
-    component reflects oddly across the faces it is normal to and evenly
-    across the others, so the interpolant vanishes on its own walls.
-    components are ghost-padded by `_ghost_pad`, once per field however
-    often it is interpolated. The cell stencil is computed once and
-    shared by all components.
+    pts is a list of per-axis coordinate arrays (any common shape). The
+    components are padded by `fields._ghost_pad` with the tangential rule,
+    once per field however often it is interpolated, so each component
+    reflects oddly across the faces it is normal to and evenly across the
+    others, and the interpolant vanishes on its own walls. The cell
+    stencil is computed once and shared by all components.
     On an axis where every base index lies in [-1, n-1] the stencil reads
     the ghost layer directly; otherwise indices fold into the box by face
     reflection and the odd sign is applied explicitly.
@@ -110,23 +93,18 @@ def _interp_vector(components, grid, pts):
     return out
 
 
-def _cell_center_mesh(grid):
-    axes = [grid.cell_centers(a) for a in range(grid.d)]
-    return [m.copy() for m in np.meshgrid(*axes, indexing="ij")]
-
-
 def _flow_displacement(B, grid, s):
     """Displacement components of the flow of B over pseudo-time s.
 
     Classical four-stage one-step integration from the cell centres; the
     substep count keeps each move below a tenth of a cell.
     """
-    start = _cell_center_mesh(grid)
+    start = grid.meshes()
     X = [c.copy() for c in start]
     speed = B.max_norm()
     n_sub = max(1, int(np.ceil(abs(s) * speed / (_CFL_FRACTION * min(grid.spacing)))))
     dt = s / n_sub
-    comps = _ghost_pad(B.components)
+    comps = _ghost_pad(B.components, tangential=True)
     for _ in range(n_sub):
         k1 = _interp_vector(comps, grid, X)
         k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
@@ -141,9 +119,10 @@ def _build_map(B, grid, s):
     """The map that pulls a field back through the flow of B over s.
 
     It is the inverse of that flow, the flow of B over -s, stored as its
-    displacement of the cell centres, ghost-padded for `_interp_vector`.
+    displacement of the cell centres, which is wall tangential like B and
+    padded by that rule for `_interp_vector`.
     """
-    return _ghost_pad(_flow_displacement(B, grid, -s))
+    return _ghost_pad(_flow_displacement(B, grid, -s), tangential=True)
 
 
 def _lookup(values, grid, pts):
@@ -167,7 +146,7 @@ def _pullback(chi, maps):
     in [0,1] and the mass error is a resampling error only.
     """
     grid = chi.domain
-    centers = _cell_center_mesh(grid)
+    centers = grid.meshes()
     offs = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
     acc = np.zeros(grid.shape)
     for shift in itertools.product(offs, repeat=grid.d):

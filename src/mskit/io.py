@@ -230,15 +230,9 @@ def read_ledger(path):
 
 
 def render_snapshot(obj, path):
-    """Write a P5 graymap of a phase field or an interface slice."""
+    """Write a P5 graymap of a phase field (its mid-plane in 3d)."""
     grid = obj.domain
-    if hasattr(obj, "density"):
-        vals = obj.density.values
-        peak = float(vals.max())
-        if peak > 0.0:
-            vals = vals / peak
-    else:
-        vals = obj.values
+    vals = obj.values
     if grid.d == 3:
         vals = vals[:, :, grid.dims[2] // 2]
     img = np.round(np.clip(vals, 0.0, 1.0) * 255.0).astype(np.uint8)

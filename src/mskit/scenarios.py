@@ -66,7 +66,6 @@ class ScenarioSpec:
 
 
 def _supersampled(grid, indicator, n=4):
-    vals = np.zeros(grid.shape)
     offs = (np.arange(n) + 0.5) / n
     axes = []
     for a in range(grid.d):
@@ -79,8 +78,7 @@ def _supersampled(grid, indicator, n=4):
     for a in range(grid.d):
         shape.extend([grid.dims[a], n])
     fine = fine.reshape(shape)
-    vals = fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))
-    return vals
+    return fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))
 
 
 def _check_inside(lo, hi, lengths, what):

@@ -8,9 +8,13 @@ code paths of the fast solver except the grid layout conventions.
 pair_velocity evaluates the interface velocity pairing through the direct
 mirrored divergence, the reference for `energy.velocity_pairing_field`.
 
-d_centered_adjoint and div_adjoint are the hand-derived transposes of the
-centered stencil with even ghosts; they check the boundary rows of
-`fields.d_centered` and `fields.grad_centered`.
+d_centered is the per-axis centered stencil that pads only the axis it
+differences, mirroring the boundary value and negating it for the odd
+(wall-tangential normal component) rule; `fields.grad_centered`,
+`fields.div_mirror` and `fields.jacobian`, which pad whole components once
+by `fields._ghost_pad`, must reproduce it bit for bit. d_centered_adjoint
+and div_adjoint are the hand-derived transposes of the stencil with even
+ghosts; they check its boundary rows.
 
 poisson_apply_ref, grad_forward_ref and grad_forward_adjoint_ref are the
 plain, allocating forms of the solver kernels (a masked spectral divide,
@@ -80,8 +84,31 @@ def pair_velocity(chi, B, u):
     return -float(np.sum(chi.values * div)) * grid.cell_volume
 
 
+def d_centered(values, axis, grid, odd=False):
+    """Centered difference along one axis with reflected ghost cells.
+
+    The ghost cells mirror the boundary value (zero normal derivative);
+    odd=True negates them (zero face value).
+    """
+    h = grid.spacing[axis]
+    padded = np.pad(values, [(1, 1) if a == axis else (0, 0) for a in range(grid.d)],
+                    mode="edge")
+    if odd:
+        first = [slice(None)] * grid.d
+        last = [slice(None)] * grid.d
+        first[axis] = slice(0, 1)
+        last[axis] = slice(-1, None)
+        padded[tuple(first)] *= -1.0
+        padded[tuple(last)] *= -1.0
+    up = [slice(None)] * grid.d
+    lo = [slice(None)] * grid.d
+    up[axis] = slice(2, None)
+    lo[axis] = slice(0, -2)
+    return (padded[tuple(up)] - padded[tuple(lo)]) / (2.0 * h)
+
+
 def d_centered_adjoint(values, axis, grid):
-    """Exact transpose of d_centered(..., ghost="even")."""
+    """Exact transpose of d_centered with even ghosts."""
     h = grid.spacing[axis]
     n = grid.dims[axis]
 

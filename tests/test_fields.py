@@ -6,13 +6,13 @@ from mskit.fields import (
     MeanZeroField,
     ScalarField,
     VectorField,
-    d_centered,
     div_mirror,
     grad_centered,
     grad_forward,
     grad_forward_adjoint,
     h1_inner,
     hminus_inner,
+    jacobian,
     make_grid,
     mollify,
     neumann_solve,
@@ -291,8 +291,8 @@ class TestDifferenceOperators:
         rng = np.random.default_rng(6)
         u = rng.standard_normal(g.shape)
         p = rng.standard_normal(g.shape)
-        for a in range(g.d):
-            lhs = float(np.sum(d_centered(u, a, g) * p))
+        for a, du in enumerate(grad_centered(u, g)):
+            lhs = float(np.sum(du * p))
             rhs = float(np.sum(u * oracles.d_centered_adjoint(p, a, g)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -312,7 +312,7 @@ class TestDifferenceOperators:
     def test_centered_linear_exact_interior(self):
         g = grid2(16)
         X, _ = g.meshes()
-        d = d_centered(3.0 * X, 0, g)
+        d = grad_centered(3.0 * X, g)[0]
         assert np.max(np.abs(d[1:-1, :] - 3.0)) <= 1e-12
 
     def test_div_mirror_constant(self):
@@ -325,7 +325,8 @@ class TestDifferenceOperators:
         # derivative exact under the odd reflection
         g = grid2(16)
         X, _ = g.meshes()
-        d = d_centered(X, 0, g, ghost="odd")
+        B = VectorField(g, [X, np.zeros(g.shape)], tangential=True)
+        d = jacobian(B, g)[0][0]
         assert d[0, 0] == pytest.approx(1.0)
 
 
@@ -345,7 +346,7 @@ def kernel_grids(draw):
 
 
 class TestKernelsMatchReference:
-    """The buffered solver kernels against their plain allocating forms."""
+    """The fields kernels against their plain reference forms."""
 
     @given(kernel_grids())
     @hyp
@@ -373,6 +374,27 @@ class TestKernelsMatchReference:
         assert np.array_equal(
             grad_forward_adjoint(ps, g), oracles.grad_forward_adjoint_ref(ps, g)
         )
+
+    @given(kernel_grids(), st.booleans())
+    @example((make_grid(2, (8, 8), (1.0, 1.0)), 7), True)
+    @hyp
+    def test_centered_stencils(self, case, tangential):
+        # one whole-component ghost pad per field against the per-axis pad
+        g, seed = case
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(g.shape)
+        comps = [rng.standard_normal(g.shape) for _ in range(g.d)]
+        for a, got in enumerate(grad_centered(u, g)):
+            assert np.array_equal(got, oracles.d_centered(u, a, g))
+        div = np.zeros(g.shape)
+        for a in range(g.d):
+            div += oracles.d_centered(comps[a], a, g, odd=tangential)
+        assert np.array_equal(div_mirror(comps, g, tangential=tangential), div)
+        J = jacobian(VectorField(g, comps, tangential=tangential), g)
+        for b in range(g.d):
+            for a in range(g.d):
+                ref = oracles.d_centered(comps[b], a, g, odd=tangential and a == b)
+                assert np.array_equal(J[b][a], ref)
 
 
 class TestVectorField:

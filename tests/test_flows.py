@@ -14,6 +14,7 @@ from mskit.energy import (
 from mskit.fields import (
     MeanZeroField,
     VectorField,
+    _ghost_pad,
     hminus_norm_sq,
     make_grid,
     vector_from_callables,
@@ -23,7 +24,6 @@ from mskit.flows import (
     _MASS_TOL_FRACTION,
     _SUPERSAMPLE,
     _build_map,
-    _ghost_pad,
     _interp_vector,
     _pullback,
     construct_xi,
@@ -86,7 +86,7 @@ def backward_pullback_reference(chi, B, s):
     true inverse of the flow of B, kept as the oracle for `_pullback`.
     """
     grid = chi.domain
-    comps = _ghost_pad(B.components)
+    comps = _ghost_pad(B.components, tangential=True)
     n_sub = max(1, int(np.ceil(
         abs(s) * B.max_norm() / (_CFL_FRACTION * min(grid.spacing))
     )))
@@ -216,7 +216,7 @@ class TestInterpolation:
             x = rng.uniform(-reach * L, (1.0 + reach) * L, 48)
             x[:4] = (0.0, L, 0.0, L)  # on the faces
             pts.append(rng.permutation(x).reshape(6, 8))
-        out = _interp_vector(_ghost_pad(comps), grid, pts)
+        out = _interp_vector(_ghost_pad(comps, tangential=True), grid, pts)
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert out[a].shape == ref.shape
@@ -241,14 +241,14 @@ class TestInterpolation:
             x = rng.uniform(-cells * h, L + cells * h, 48)
             x[:4] = (0.0, L, -cells * h, L - 1e-9 * h)
             pts.append(rng.permutation(x).reshape(6, 8))
-        out = _interp_vector(_ghost_pad(comps), grid, pts)
+        out = _interp_vector(_ghost_pad(comps, tangential=True), grid, pts)
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert np.array_equal(out[a], ref)
 
     def test_empty_points(self):
         g = make_grid(2, (8, 8), (1.0, 1.0))
-        comps = _ghost_pad([np.ones(g.dims), np.ones(g.dims)])
+        comps = _ghost_pad([np.ones(g.dims), np.ones(g.dims)], tangential=True)
         out = _interp_vector(comps, g, [np.zeros(0), np.zeros(0)])
         assert [o.shape for o in out] == [(0,), (0,)]
 
@@ -274,7 +274,7 @@ class TestSolverFailures:
 
         def build(field, grid, s):
             sigmas.append(s)
-            return _ghost_pad(zero_field(grid).components)
+            return _ghost_pad(zero_field(grid).components, tangential=True)
 
         monkeypatch.setattr(flows, "_pullback", lambda chi, maps: stuck)
         monkeypatch.setattr(flows, "_build_map", build)

@@ -6,7 +6,7 @@ import pytest
 from mskit.checks import CHECKS, LEDGER_CSV, Check
 from mskit.cli import main
 from mskit.diagnostics import Ledger, StepRecord
-from mskit.energy import PhaseField, interface_measure
+from mskit.energy import PhaseField
 from mskit.fields import ScalarField, make_grid
 from mskit.io import (
     ConfigError,
@@ -253,17 +253,6 @@ class TestRender:
         for v in body:
             counts[v] += 1
         assert counts == {0: 128, 255: 128}
-
-    def test_slice_rendered_normalized(self, tmp_path):
-        grid = make_grid(2, (32, 32), (1.0, 1.0))
-        xs, ys = grid.meshes()
-        disk = ((xs - 0.5) ** 2 + (ys - 0.5) ** 2 <= 0.25 ** 2).astype(float)
-        slc = interface_measure(PhaseField(grid, disk), 4.0 / 32)
-        path = str(tmp_path / "d.pgm")
-        render_snapshot(slc, path)
-        data = open(path, "rb").read()
-        body = data[data.index(b"255\n") + 4:]
-        assert max(body) == 255
 
     def test_3d_mid_plane(self, tmp_path):
         grid = make_grid(3, (8, 8, 8), (1.0, 1.0, 1.0))
