@@ -9,7 +9,9 @@ projection onto the box-and-mass set) solves it to a relative residual,
 and a mass-rank threshold maps the minimizer back to an indicator field.
 The projection is a continuous quadratic knapsack, solved exactly by a
 breakpoint method warm started from the previous iteration's shift
-(Kiwiel 2008), so each PD iteration pays for about two clipped sums.
+(Kiwiel 2008): up to four Newton evaluations, then a sorted sweep only if
+they have not landed. Each PD iteration pays for about two clipped sums
+(1.7 to 2.3 on the benchmark steps) and, in practice, no sort.
 The over-relaxation (factor 1.5) is written x_hat + 0.5 (x_hat - x): a
 cell clipped to 0 then halves exactly to 0 instead of cycling at +-1 ulp
 of the smallest subnormal, where every operation on u runs slowly.
@@ -125,9 +127,11 @@ def _project_box_mass(v, mean_target, shift):
     Newton steps start from `shift`, the previous call's root, and use the
     one-sided slope towards the root, so a step that stays on the root's
     linear piece lands on it exactly. Every evaluation shrinks the bracket.
-    When two evaluations have not landed, or a step would leave the
+    When four evaluations have not landed, or a step would leave the
     bracket, a sweep over the breakpoints inside the bracket, sorted,
-    finds the root's linear piece and solves it exactly.
+    finds the root's linear piece and solves it exactly. Within a PD solve
+    the warm shift is close and four evaluations land every call of the
+    benchmark steps; with two, up to 28% of the calls paid for the sort.
 
     Returns (u, s).
     """
@@ -138,7 +142,7 @@ def _project_box_mass(v, mean_target, shift):
     lo, hi = -float(v.max()), 1.0 - float(v.min())
     f_lo = -target
     s = min(max(shift, lo), hi)
-    for _ in range(2):
+    for _ in range(4):
         w = v + s
         u = np.clip(w, 0.0, 1.0)
         r = float(u.sum()) - target

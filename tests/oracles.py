@@ -17,9 +17,11 @@ and div_adjoint are the hand-derived transposes of the stencil with even
 ghosts; they check its boundary rows.
 
 poisson_apply_ref, grad_forward_ref and grad_forward_adjoint_ref are the
-plain, allocating forms of the solver kernels (a masked spectral divide,
-np.diff, one zero-initialised accumulator per axis); the buffered kernels
-in `fields` must reproduce them bit for bit.
+plain, allocating forms of the solver kernels (a masked spectral divide
+between scipy's cosine transforms, np.diff, one zero-initialised
+accumulator per axis). The buffered stencils in `fields` must reproduce
+them bit for bit; its Poisson apply, which transforms by per-axis matrix
+products, matches to rounding.
 """
 
 import numpy as np

@@ -94,9 +94,25 @@ def reference_shift_interval(v, frac):
     return a, b
 
 
+def count_sweeps(monkeypatch):
+    """Patch the projection's sorted sweep to log its calls; returns the log."""
+    calls = []
+    sweep = mv._sweep_root
+
+    def logged(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(mv, "_sweep_root", logged)
+    return calls
+
+
 @st.composite
-def projection_inputs(draw):
-    """Inputs (v, frac, warm shift) of the box-and-mass projection."""
+def projection_inputs(draw, wheres=("inside", "outside", "far")):
+    """Inputs (v, frac, warm shift) of the box-and-mass projection.
+
+    `wheres` picks where the warm shift sits against the root's bracket.
+    """
     n = draw(st.integers(2, 40))
     kind = draw(st.sampled_from(("spread", "binary_noise", "all_equal")))
     if kind == "spread":
@@ -109,7 +125,7 @@ def projection_inputs(draw):
         v = np.full(n, draw(st.floats(-2.0, 3.0)))
     frac = draw(st.floats(0.05, 0.95))
     lo, hi = -float(v.max()), 1.0 - float(v.min())
-    where = draw(st.sampled_from(("inside", "outside", "far")))
+    where = draw(st.sampled_from(wheres))
     if where == "inside":
         shift = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
     elif where == "outside":
@@ -146,6 +162,27 @@ class TestProjection:
         assert a - 1e-12 <= s <= b + 1e-12
         assert abs(float(u.mean()) - frac) <= 1e-12
         np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
+
+    def test_far_shift_falls_back_to_sweep(self, monkeypatch):
+        # a warm shift far outside the bracket restarts Newton at a bracket
+        # end, where the evaluations often fail to land: the sorted sweep
+        # must still run there and find the reference root
+        sweeps = count_sweeps(monkeypatch)
+        swept = []
+
+        @given(projection_inputs(wheres=("far",)))
+        @settings(max_examples=50, deadline=None, derandomize=True)
+        def check(inputs):
+            v, frac, shift = inputs
+            before = len(sweeps)
+            a, b = reference_shift_interval(v, frac)
+            u, s = mv._project_box_mass(v, frac, shift)
+            assert a - 1e-12 <= s <= b + 1e-12
+            np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
+            swept.append(len(sweeps) > before)
+
+        check()
+        assert any(swept)
 
     def test_warm_start_at_root_is_kept(self):
         v = np.linspace(-0.4, 1.3, 50)
@@ -345,11 +382,15 @@ CONTINUATION_ITERS = {
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_STEPS))
-def test_step_matches_recorded_solve(name):
+def test_step_matches_recorded_solve(name, monkeypatch):
     kw, iters, objective = REGRESSION_STEPS[name]
     spec = ScenarioSpec(name=name, dims=(32, 32), lengths=(1.0, 1.0),
                         n_steps=1, **kw)
+    sweeps = count_sweeps(monkeypatch)
     res = mm_step(make_initial(spec), spec.params, spec.step)
+    # the warm-started Newton evaluations land every projection of these
+    # solves; the sorted sweep is only the fallback
+    assert sweeps == []
     assert res.converged
     assert res.pd_iters == iters
     assert abs(res.objective - objective) <= spec.step.pd_tol * max(1.0, objective)
