@@ -42,14 +42,11 @@ from .scenarios import (
     default_scenarios,
     interface_displacement_cells,
     make_initial,
-    measure_contact_angle,
     run_scenario,
 )
 
 # floor of the dissipation margin, as a fraction of the initial energy
 MARGIN_FLOOR_FRACTION = 1e-6
-# allowed per-step rise of |measured angle - alpha| (quantization noise)
-ANGLE_TREND_SLACK = 0.02
 # file `check ledger` writes into the output directory
 LEDGER_CSV = "ledger_two_balls.csv"
 
@@ -182,10 +179,10 @@ def _stripe_planarity(state):
 def _classical_verdicts(spec, states):
     """The kind-specific classical behaviour of one run, by check key.
 
-    Every kind with a classical rule has one here, the cap included,
-    although the consistency suite runs only ball, stripe and two_balls:
-    the shipped cap starts at its own contact angle, so its rule cannot
-    fail yet.
+    The kinds the consistency suite runs (ball, stripe and two_balls) have
+    a rule here. The relaxing cap has none: its rule and a contact-angle
+    measure with a bounded error come back with the suite run that first
+    includes a cap.
     """
     if spec.kind == "ball":
         disp = max(interface_displacement_cells(states[0], s) for s in states)
@@ -193,14 +190,6 @@ def _classical_verdicts(spec, states):
     if spec.kind == "stripe":
         planar = max(_stripe_planarity(s) for s in states)
         return {"planar": planar <= 2.0}
-    if spec.kind == "boundary_cap":
-        eps = mollification_width(states[0].domain)
-        gaps = []
-        for s in states:
-            ang = measure_contact_angle(s, interface_measure(s, eps))
-            gaps.append(abs(ang - spec.params.alpha))
-        trend = all(b <= a + ANGLE_TREND_SLACK for a, b in zip(gaps, gaps[1:]))
-        return {"angle_trend": trend}
     if spec.kind == "two_balls":
         masses = component_masses(states)
         downs = sum(1 for a, b in zip(masses, masses[1:]) if b < a)
@@ -213,8 +202,7 @@ def check_consistency(out_dir):
     """Mass, margin and classical behaviour of ball, stripe and two_balls runs.
 
     The classical rules by kind: stationary shapes stay put, flat
-    interfaces stay flat, relaxing caps approach the energy's contact
-    angle, and the smaller of two balls loses mass.
+    interfaces stay flat, and the smaller of two balls loses mass.
     """
     records = []
     for spec in _mini_set():

@@ -7,7 +7,10 @@ distance between the difference quotient (deformed - chi)/s and the
 pairing field B . grad(chi) it converges to. The flow of B over -s
 inverts its flow over s, so a map is stored as that reverse-flow
 displacement, ghost-padded by the tangential wall reflection of
-`fields`, and applied by one interpolation.
+`fields`, and applied by one interpolation. That interpolation reads
+points at most half a cell beyond a face, as far as the ghost layer
+reaches, which is enough: wall-tangential flows, integrated in sub-cell
+steps, keep their points inside the box.
 """
 
 import itertools
@@ -44,13 +47,14 @@ def _interp_vector(components, grid, pts):
     reflects oddly across the faces it is normal to and evenly across the
     others, and the interpolant vanishes on its own walls. The cell
     stencil is computed once and shared by all components.
-    On an axis where every base index lies in [-1, n-1] the stencil reads
-    the ghost layer directly; otherwise indices fold into the box by face
-    reflection and the odd sign is applied explicitly.
+    The ghost layer reaches half a cell beyond each face, and a point
+    farther out raises ValueError. No flow gets there: B is wall
+    tangential, so its flow keeps the box, and an RK4 substep moves a
+    point less than a tenth of a cell.
     """
     d = grid.d
     h = grid.spacing
-    frac, flat, signs = [], [], []
+    frac, flat = [], []
     for b in range(d):
         n = grid.dims[b]
         stride = math.prod(m + 2 for m in grid.dims[b + 1:])
@@ -59,24 +63,13 @@ def _interp_vector(components, grid, pts):
         f = t - base
         frac.append((1.0 - f, f))
         i = base.astype(np.int64)
-        if i.size == 0 or (i.min() >= -1 and i.max() <= n - 1):
-            flat.append(((i + 1) * stride, (i + 2) * stride))
-            signs.append(None)
-            continue
-        beyond = i.min() < -n or i.max() + 1 >= 2 * n
-        offsets, flips = [], []
-        for j in (i, i + 1):
-            # fold into the box by face reflection: np.mod first only when
-            # some index lies beyond one fold, then mirror the low face and
-            # the high face; every folded index flips the odd sign
-            if beyond:
-                j = np.mod(j, 2 * n)
-            idx = np.where(j < 0, -1 - j, j)
-            idx = np.minimum(idx, 2 * n - 1 - idx)
-            flips.append(np.where(idx != j, -1.0, 1.0))
-            offsets.append((idx + 1) * stride)
-        flat.append(offsets)
-        signs.append(flips)
+        if i.size and (i.min() < -1 or i.max() > n - 1):
+            outside = max(-0.5 - t.min(), t.max() + 0.5 - n)
+            raise ValueError(
+                "interpolation point %.3g cells outside the box on axis %d; "
+                "the ghost layer reaches half a cell" % (outside, b)
+            )
+        flat.append(((i + 1) * stride, (i + 2) * stride))
     out = [np.zeros(np.shape(pts[0])) for _ in range(d)]
     for corner in range(2 ** d):
         bits = [(corner >> b) & 1 for b in range(d)]
@@ -86,10 +79,7 @@ def _interp_vector(components, grid, pts):
             w = w * frac[b][bits[b]]
             offset = offset + flat[b][bits[b]]
         for a in range(d):
-            if signs[a] is None:
-                out[a] += w * np.take(components[a], offset)
-            else:
-                out[a] += w * signs[a][bits[a]] * np.take(components[a], offset)
+            out[a] += w * np.take(components[a], offset)
     return out
 
 
@@ -195,11 +185,12 @@ def flow_deform(chi, B, s):
 
     Returns (maps, deformed): the maps of `_build_map` the pullback
     applied, in order, and the deformed field (cell averages in [0,1]).
-    Each map is a ghost-padded reverse-flow displacement. maps is () at
-    s = 0, (fmap,) when the flow of B keeps the mass, and (cmap, fmap)
-    after a mass correction: cmap is built from the flow of xi (the volume
-    pairing direction) over a parameter sigma chosen so the deformed mass
-    matches m0 to a fixed fraction of the domain volume.
+    Each map is a ghost-padded reverse-flow displacement. maps is (fmap,)
+    when the flow of B keeps the mass, s = 0 included (there fmap is zero
+    and a binary chi comes back unchanged), and (cmap, fmap) after a mass
+    correction: cmap is built from the flow of xi (the volume pairing
+    direction) over a parameter sigma chosen so the deformed mass matches
+    m0 to a fixed fraction of the domain volume.
     The search starts at the linearised parameter -drift / <chi, xi>
     (sigma = 0 is the plain deformation, already pulled back), doubles it
     while the mass stays short of the target, then bisects the bracket.
@@ -209,9 +200,6 @@ def flow_deform(chi, B, s):
     """
     grid = chi.domain
     _require_member(chi, B)
-    if s == 0.0:
-        return (), PhaseField(grid, chi.values.copy(), binary=chi.binary)
-
     fmap = _build_map(B, grid, s)
     vals = _pullback(chi, (fmap,))
     mass_tol = _MASS_TOL_FRACTION * grid.volume

@@ -3,9 +3,9 @@
 Shapes are rasterized by supersampled cell averages and thresholded to
 binary fields, so repeated construction is bit-identical. `run_scenario`
 returns a scenario's trajectory with its dissipation ledger, and the
-measurement helpers read a run's states: the contact angle at the walls,
-how far cells moved from the initial interface, and the mass of the
-smaller of two components. The verdicts built on them live in `checks`.
+measurement helpers read a run's states: how far cells moved from the
+initial interface, and the mass of the smaller of two components. The
+verdicts built on them live in `checks`.
 """
 
 from dataclasses import dataclass
@@ -19,10 +19,6 @@ from .fields import make_grid
 from .minmov import StepConfig, run_trajectory
 
 KINDS = ("ball", "two_balls", "stripe", "boundary_cap", "random_blobs")
-
-# contact measurement band: cells this many spacings from a wall
-WALL_BAND_FACTOR = 6.0
-BAND_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,9 @@ def make_initial(spec):
         xc = spec.centers[0][0] if spec.centers else 0.5 * spec.lengths[0]
         yc = -R * np.cos(alpha)
         half_w = R * np.sin(alpha)
-        if xc - half_w < clear or xc + half_w > spec.lengths[0] - clear:
+        # the cap spans 2 R sin(angle) of the wall and rises R (1 - cos(angle))
+        if (xc - half_w < clear or xc + half_w > spec.lengths[0] - clear
+                or R * (1.0 - np.cos(alpha)) + clear > spec.lengths[1]):
             raise ValueError("shape out of bounds: boundary_cap")
 
         def inside(*m):
@@ -190,38 +188,6 @@ def make_initial(spec):
     order = np.argsort(-frac.ravel(), kind="stable")
     flat[order[:k]] = 1.0
     return PhaseField(grid, flat.reshape(grid.shape))
-
-
-def measure_contact_angle(chi, slc):
-    """Density-weighted angle between the interface and the walls.
-
-    Averages arccos of the outward slice normal against the inner wall
-    normal over interface cells within six spacings of a face.
-    """
-    grid = chi.domain
-    dens = slc.density.values
-    band = dens > BAND_FRACTION * float(dens.max())
-    centers = grid.meshes()
-    reach = WALL_BAND_FACTOR * max(grid.spacing)
-
-    total_w = 0.0
-    total_wth = 0.0
-    for a in range(grid.d):
-        for side, nu_sign in ((0, 1.0), (1, -1.0)):
-            wall = grid.lengths[a] * side
-            dist = np.abs(centers[a] - wall)
-            sel = band & (dist <= reach)
-            if not np.any(sel):
-                continue
-            # outward normal is minus the stored (inward) slice normal
-            dot = -nu_sign * slc.normal.components[a][sel]
-            theta = np.arccos(np.clip(dot, -1.0, 1.0))
-            w = dens[sel]
-            total_w += float(w.sum())
-            total_wth += float((w * theta).sum())
-    if total_w == 0.0:
-        raise ValueError("interior interface: no contact with the walls")
-    return total_wth / total_w
 
 
 def interface_displacement_cells(chi0, chi1):

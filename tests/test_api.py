@@ -1,11 +1,11 @@
 """Every public name and method in `mskit` has a caller in the program.
 
 The scan parses the package and the benchmark harness with `ast` and looks
-for a use of each public top-level name, and of each public method or
-property of a public class (a load of the bare name, or an attribute of
-that name), outside the name's own definition. A name used only
-by the tests fails it: the behaviour either gets a caller the program needs,
-or it goes together with its tests.
+for a use of each public top-level name, module constants included, and of
+each public method or property of a public class (a load of the bare name,
+or an attribute of that name), outside the name's own definition or
+assignment. A name used only by the tests fails it: the behaviour either
+gets a caller the program needs, or it goes together with its tests.
 
 An attribute use is matched by name alone, so it cannot tell a call of
 `obj.ok` on one type from one on another. A public method or property
@@ -50,11 +50,31 @@ def _public(nodes):
                 yield node
 
 
+def _public_constants(nodes):
+    """(name, statement) for each public name a module-level assignment binds."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not sub.id.startswith("_"):
+                    yield sub.id, node
+
+
 def _public_definitions():
-    """Qualified name -> (path, node) for public names and their methods."""
+    """Qualified name -> (path, node) for public names and their methods.
+
+    A module constant maps to its assignment statement.
+    """
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _public_constants(tree.body):
+            out[name] = (path, node)
         for node in _public(tree.body):
             out[node.name] = (path, node)
             if isinstance(node, ast.ClassDef):
@@ -123,11 +143,11 @@ def unused_public_names():
     uses = {path: _uses(tree, None) for path, tree in trees.items()}
     unused = set()
     for qualname, (path, node) in defs.items():
-        # uses inside the name's own definition do not count
+        # uses inside the name's own definition or assignment do not count
         elsewhere = _uses(trees[path], node).union(
             *(found for other, found in uses.items() if other != path)
         )
-        if node.name not in elsewhere:
+        if qualname.rsplit(".", 1)[-1] not in elsewhere:
             unused.add(qualname)
     return unused
 

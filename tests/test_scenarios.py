@@ -1,11 +1,11 @@
-"""Scenario construction, contact angles, shape measurements and runs."""
+"""Scenario construction, shape measurements and runs."""
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from mskit.energy import EnergyParams, PhaseField, interface_measure
+from mskit.energy import EnergyParams, PhaseField
 from mskit.fields import make_grid
 from mskit.minmov import StepConfig
 from mskit.scenarios import (
@@ -14,7 +14,6 @@ from mskit.scenarios import (
     default_scenarios,
     interface_displacement_cells,
     make_initial,
-    measure_contact_angle,
     run_scenario,
 )
 
@@ -163,6 +162,15 @@ class TestMakeInitial:
         with pytest.raises(ValueError, match="out of bounds"):
             make_initial(spec_cap(64, angle=np.pi / 2, radius=0.49))
 
+    def test_cap_too_tall(self):
+        # fits along the wall, but would rise 0.8 in a box 0.5 high
+        spec = replace(
+            spec_cap(angle=np.pi / 2, radius=0.8),
+            dims=(64, 16), lengths=(2.0, 0.5), centers=((1.0, 0.0),),
+        )
+        with pytest.raises(ValueError, match="out of bounds: boundary_cap"):
+            make_initial(spec)
+
     def test_blobs_unplaceable(self):
         spec = ScenarioSpec(
             name="x", kind="random_blobs", dims=(64, 64), lengths=(1.0, 1.0),
@@ -199,26 +207,6 @@ class TestMakeInitial:
             )
         )
         assert 0.0 < chi.integral() < chi.domain.volume
-
-
-class TestContactAngle:
-    def test_stripe_is_square(self):
-        chi = make_initial(spec_stripe(64))
-        eps = 4.0 * max(chi.domain.spacing)
-        ang = measure_contact_angle(chi, interface_measure(chi, eps))
-        assert abs(ang - np.pi / 2) <= 0.05
-
-    def test_cap_reads_its_angle(self):
-        chi = make_initial(spec_cap(128, angle=np.pi / 3))
-        eps = 4.0 * max(chi.domain.spacing)
-        ang = measure_contact_angle(chi, interface_measure(chi, eps))
-        assert abs(ang - np.pi / 3) <= 0.08
-
-    def test_interior_interface_rejected(self):
-        chi = make_initial(spec_ball(64))
-        eps = 4.0 * max(chi.domain.spacing)
-        with pytest.raises(ValueError, match="interior interface"):
-            measure_contact_angle(chi, interface_measure(chi, eps))
 
 
 class TestGeometryHelpers:
