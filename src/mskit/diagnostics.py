@@ -17,7 +17,7 @@ from .fields import (
     VectorField,
     div_mirror,
     grad_centered,
-    h1_inner,
+    h1_norm_sq,
     mollify,
     neumann_solve,
     require_same_grid,
@@ -144,7 +144,7 @@ def _slope_from_samples(chi_anchor, samples, h, vel_sq):
     vals = []
     for tau, field in samples:
         w = potential_w(field, chi_anchor, tau)
-        vals.append(h1_inner(w, w))
+        vals.append(h1_norm_sq(w))
     nodes = [0.0] + taus + [h]
     integrand = [0.0] + vals + [vel_sq]
     integral = 0.0
@@ -185,7 +185,7 @@ def dissipation_ledger(traj, p, cfg):
         else:
             prev = states[n - 1]
             w = potential_w(chi, prev, h)
-            vel_sq = h1_inner(w, w)
+            vel_sq = h1_norm_sq(w)
             samples = [
                 (t - (n - 1) * h, field)
                 for t, field in traj.interpolant_snapshots

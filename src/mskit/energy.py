@@ -39,7 +39,9 @@ class EnergyParams:
         if self.c0 <= 0:
             raise ValueError("surface tension c0 must be positive")
         if not (0.0 < self.alpha <= np.pi / 2):
-            raise ValueError("contact angle must lie in (0, pi/2]")
+            raise ValueError(
+                "contact angle alpha must lie in (0, pi/2], got %g" % self.alpha
+            )
 
     @property
     def cos_alpha(self):
@@ -49,11 +51,11 @@ class EnergyParams:
 class PhaseField(ScalarField):
     """Indicator-like field with a recorded target mass.
 
-    Relaxed fields take values in [0,1]; with binary=True the values are
-    exactly 0 or 1. The integral must match the stored mass target.
+    Values lie in [0,1]: exactly 0 or 1 for an indicator, anything between
+    for a relaxed field. The integral must match the stored mass target.
     """
 
-    def __init__(self, domain, values, m0=None, binary=None):
+    def __init__(self, domain, values, m0=None):
         values = np.asarray(values, dtype=np.float64)
         if values.size and (values.min() < -1e-12 or values.max() > 1.0 + 1e-12):
             raise ValueError(
@@ -62,11 +64,6 @@ class PhaseField(ScalarField):
             )
         values = np.clip(values, 0.0, 1.0)
         super().__init__(domain, values)
-        if binary is None:
-            binary = bool(np.all((values == 0.0) | (values == 1.0)))
-        elif binary and not np.all((values == 0.0) | (values == 1.0)):
-            raise ValueError("binary flag set on a non-binary field")
-        self.binary = bool(binary)
         mass = self.integral()
         if m0 is None:
             m0 = mass

@@ -305,38 +305,30 @@ def neumann_solve(F):
     return MeanZeroField(grid, u)
 
 
-def h1_inner(u, v):
-    """Dirichlet inner product of two mean-zero potentials.
+def h1_norm_sq(u):
+    """Squared Dirichlet norm of a mean-zero potential.
 
     Computed in the cosine basis, where each axis derivative is an exact
     multiplication by pi k / L; together with the cell quadrature this is the
-    integral of grad u . grad v without stencil error.
+    integral of |grad u|^2 without stencil error.
     """
-    require_same_grid(u, v)
     grid = u.domain
     sym = _neumann_symbol(grid)
     cu = _cosine(u.values, grid)
-    cv = _cosine(v.values, grid)
-    return float(np.sum((-sym) * cu * cv)) * grid.cell_volume
-
-
-def hminus_inner(F, G):
-    """Inner product of two sources in the dual (negative-order) metric.
-
-    Equal to h1_inner of their potentials; evaluated directly on the
-    spectral symbol so no intermediate solve is needed.
-    """
-    require_same_grid(F, G)
-    grid = F.domain
-    sym = _neumann_symbol(grid)
-    cF = _cosine(F.values, grid)
-    cG = _cosine(G.values, grid)
-    nz = sym != 0.0
-    return float(np.sum(cF[nz] * cG[nz] / (-sym[nz]))) * grid.cell_volume
+    return float(np.sum((-sym) * cu * cu)) * grid.cell_volume
 
 
 def hminus_norm_sq(F):
-    return hminus_inner(F, F)
+    """Squared dual (negative-order) norm of a mean-zero source.
+
+    Equal to h1_norm_sq of its potential; evaluated directly on the
+    spectral symbol so no intermediate solve is needed.
+    """
+    grid = F.domain
+    sym = _neumann_symbol(grid)
+    nz = sym != 0.0
+    cF = _cosine(F.values, grid)[nz]
+    return float(np.sum(cF * cF / (-sym[nz]))) * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +468,14 @@ def jacobian(vec, grid):
 # ---------------------------------------------------------------------------
 
 def _bump_taps(eps, h):
+    # mollify keeps eps >= h, so w >= 1 and the centre tap e^-1 is positive
     w = int(np.floor(eps / h))
     offsets = np.arange(-w, w + 1)
     t = offsets * h / eps
     taps = np.zeros(offsets.size)
     inside = np.abs(t) < 1.0
     taps[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    s = taps.sum()
-    if s <= 0.0:
-        return np.array([1.0])
-    return taps / s
+    return taps / taps.sum()
 
 
 def mollify(values, grid, eps):
@@ -499,6 +489,5 @@ def mollify(values, grid, eps):
     out = np.array(values, dtype=np.float64)
     for a in range(grid.d):
         taps = _bump_taps(eps, grid.spacing[a])
-        if taps.size > 1:
-            out = ndimage.correlate1d(out, taps, axis=a, mode="reflect")
+        out = ndimage.correlate1d(out, taps, axis=a, mode="reflect")
     return out

@@ -205,7 +205,7 @@ def flow_deform(chi, B, s):
     mass_tol = _MASS_TOL_FRACTION * grid.volume
     drift = float(vals.mean()) * grid.volume - chi.m0
     if abs(drift) <= mass_tol:
-        return (fmap,), PhaseField(grid, vals, binary=False)
+        return (fmap,), PhaseField(grid, vals)
 
     xi = construct_xi(chi, mollification_width(grid))
     diameter = math.sqrt(sum(L * L for L in grid.lengths))
@@ -236,7 +236,7 @@ def flow_deform(chi, B, s):
             "drift %.3e vs mass_tol %.3e" % (_MASS_BISECT_STEPS, best, mass_tol)
         )
 
-    return (cmap, fmap), PhaseField(grid, vals, binary=False)
+    return (cmap, fmap), PhaseField(grid, vals)
 
 
 @dataclass(frozen=True)

@@ -142,12 +142,10 @@ def config_from_values(values):
     if kind not in KINDS:
         raise ConfigError("unknown scenario kind: %r" % kind)
     base = {s.kind: s for s in default_scenarios()}[kind]
-    alpha = groups["params"].get("alpha", base.params.alpha)
-    if not (0.0 < alpha <= np.pi / 2):
-        raise ConfigError("energy.alpha must lie in (0, pi/2], got %g" % alpha)
     if kind == "boundary_cap":
-        # the wall angle is the energy's angle unless explicitly split
-        scenario.setdefault("angle", alpha)
+        # the cap's interior angle at the wall defaults to the energy's
+        # alpha; the coded energy is at equilibrium at pi - alpha instead
+        scenario.setdefault("angle", groups["params"].get("alpha", base.params.alpha))
     try:
         params = replace(base.params, **groups["params"])
         step = replace(base.step, **groups["step"])

@@ -329,7 +329,7 @@ def mass_threshold(u):
     order = np.argsort(-flat, kind="stable")
     out = np.zeros(flat.size)
     out[order[:k]] = 1.0
-    return PhaseField(grid, out.reshape(grid.shape), m0=k * vol, binary=True)
+    return PhaseField(grid, out.reshape(grid.shape), m0=k * vol)
 
 
 def movement_penalty(u, anchor, tau):
@@ -349,13 +349,12 @@ def _select_binary(cand, anchor, tau, p):
 
     The threshold ranks cells by relaxed value alone and can emit a
     rearrangement of tied staircase cells that costs movement penalty
-    while saving no energy. Comparing the two feasible binary
+    while saving no energy. The anchor is a `make_initial` or
+    `mass_threshold` output, so comparing the two feasible binary
     competitors keeps the step guarantee (energy plus penalty never
     above the previous energy) unconditional instead of empirical.
     """
     obj_cand = _objective(cand, anchor, tau, p)
-    if not anchor.binary:
-        return cand, obj_cand
     obj_anchor = energy(anchor, p).total
     if obj_cand < obj_anchor:
         return cand, obj_cand
@@ -407,7 +406,7 @@ def de_giorgi_interpolant(chi_anchor, tau, p, cfg, start=None):
         raise ValueError("interpolation time tau must not exceed the step h")
     out, _obj, _relaxed, info = _step(chi_anchor, tau, p, cfg, start)
     if out is chi_anchor:
-        out = PhaseField(out.domain, out.values, m0=out.m0, binary=True)
+        out = PhaseField(out.domain, out.values, m0=out.m0)
     out.pd_info = info
     return out
 

@@ -1,14 +1,15 @@
 """Scenarios: their specs, initial fields, runs and shape measurements.
 
-Shapes are rasterized by supersampled cell averages and thresholded to
-binary fields, so repeated construction is bit-identical. `run_scenario`
-returns a scenario's trajectory with its dissipation ledger, and the
-measurement helpers read a run's states: how far cells moved from the
-initial interface, and the mass of the smaller of two components. The
-verdicts built on them live in `checks`.
+Every kind but the stripe is a union of balls. Shapes are rasterized by
+supersampled cell averages and thresholded to binary fields, so repeated
+construction is bit-identical. `run_scenario` returns a scenario's
+trajectory with its dissipation ledger, and the measurement helpers read a
+run's states: how far cells moved from the initial interface, and the mass
+of the smaller of two components. The verdicts built on them live in
+`checks`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -19,6 +20,17 @@ from .fields import make_grid
 from .minmov import StepConfig, run_trajectory
 
 KINDS = ("ball", "two_balls", "stripe", "boundary_cap", "random_blobs")
+
+# the geometry fields each kind reads; a spec that sets any other one away
+# from its default is refused, so a misplaced key cannot be silently ignored
+_READS = {
+    "ball": ("centers", "radii"),
+    "two_balls": ("centers", "radii"),
+    "stripe": ("x_cut",),
+    "boundary_cap": ("centers", "radii", "angle"),
+    "random_blobs": ("seed", "blob_count", "blob_radius_range"),
+}
+_GEOMETRY = frozenset(name for names in _READS.values() for name in names)
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown scenario kind: %r" % (self.kind,))
+        for f in fields(self):
+            if (f.name in _GEOMETRY and f.name not in _READS[self.kind]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError("%s does not read %s" % (self.kind, f.name))
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if len(self.dims) != len(self.lengths):
@@ -77,12 +93,6 @@ def _supersampled(grid, indicator, n=4):
     return fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))
 
 
-def _check_inside(lo, hi, lengths, what):
-    for a in range(len(lengths)):
-        if lo[a] < 0.0 or hi[a] > lengths[a]:
-            raise ValueError("shape out of bounds: %s" % what)
-
-
 def _blob_layout(spec):
     """Deterministic center/radius draws with wall and pair clearances."""
     rng = np.random.default_rng(spec.seed)
@@ -109,72 +119,56 @@ def _blob_layout(spec):
     return placed
 
 
+def _balls(spec, clear):
+    """Checked (center, radius) list of a kind whose phase is a union of balls.
+
+    The cap is the ball of radius R centred R cos(angle) below the bottom
+    wall, so it meets the wall at interior angle `angle`. Its centre has two
+    coordinates, which makes the 3-D cap a cylinder along the third axis.
+    """
+    if spec.kind == "random_blobs":
+        return _blob_layout(spec)
+    if spec.kind == "boundary_cap":
+        R, angle = spec.radii[0], spec.angle
+        if not (0.0 < angle <= np.pi / 2):
+            raise ValueError("cap angle outside (0, pi/2]")
+        xc = spec.centers[0][0] if spec.centers else 0.5 * spec.lengths[0]
+        half_w = R * np.sin(angle)
+        # the cap spans 2 R sin(angle) of the wall and rises R (1 - cos(angle))
+        if (xc - half_w < clear or xc + half_w > spec.lengths[0] - clear
+                or R * (1.0 - np.cos(angle)) + clear > spec.lengths[1]):
+            raise ValueError("shape out of bounds: boundary_cap")
+        return [((xc, -R * np.cos(angle)), R)]
+    balls = list(zip(spec.centers, spec.radii))
+    for c, R in balls:
+        for a, L in enumerate(spec.lengths):
+            if c[a] - R - clear < 0.0 or c[a] + R + clear > L:
+                raise ValueError("shape out of bounds: %s" % spec.kind)
+    if len(balls) == 2:
+        (c1, R1), (c2, R2) = balls
+        if np.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2))) < R1 + R2 + clear:
+            raise ValueError("shape out of bounds: balls overlap")
+    return balls
+
+
 def make_initial(spec):
     """Binary phase field for the scenario's analytic geometry."""
     grid = make_grid(len(spec.dims), spec.dims, spec.lengths)
     clear = 2.0 * max(grid.spacing)
 
-    if spec.kind == "ball":
-        (c,), (R,) = spec.centers, spec.radii
-        _check_inside(
-            [ci - R - clear for ci in c],
-            [ci + R + clear for ci in c],
-            spec.lengths,
-            "ball",
-        )
-
-        def inside(*m):
-            return sum((mi - ci) ** 2 for mi, ci in zip(m, c)) <= R * R
-
-    elif spec.kind == "two_balls":
-        for c, R in zip(spec.centers, spec.radii):
-            _check_inside(
-                [ci - R - clear for ci in c],
-                [ci + R + clear for ci in c],
-                spec.lengths,
-                "two_balls",
-            )
-        (c1, c2), (R1, R2) = spec.centers, spec.radii
-        gap = np.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2)))
-        if gap < R1 + R2 + clear:
-            raise ValueError("shape out of bounds: balls overlap")
-
-        def inside(*m):
-            d1 = sum((mi - ci) ** 2 for mi, ci in zip(m, c1))
-            d2 = sum((mi - ci) ** 2 for mi, ci in zip(m, c2))
-            return (d1 <= R1 * R1) | (d2 <= R2 * R2)
-
-    elif spec.kind == "stripe":
+    if spec.kind == "stripe":
         if not (clear < spec.x_cut < spec.lengths[0] - clear):
             raise ValueError("shape out of bounds: stripe cut")
 
         def inside(*m):
             return m[0] < spec.x_cut
 
-    elif spec.kind == "boundary_cap":
-        # circular cap on the bottom face meeting it at the given angle:
-        # circle center sits R cos(angle) below the wall
-        R = spec.radii[0]
-        alpha = spec.angle
-        if not (0.0 < alpha <= np.pi / 2):
-            raise ValueError("cap angle outside (0, pi/2]")
-        xc = spec.centers[0][0] if spec.centers else 0.5 * spec.lengths[0]
-        yc = -R * np.cos(alpha)
-        half_w = R * np.sin(alpha)
-        # the cap spans 2 R sin(angle) of the wall and rises R (1 - cos(angle))
-        if (xc - half_w < clear or xc + half_w > spec.lengths[0] - clear
-                or R * (1.0 - np.cos(alpha)) + clear > spec.lengths[1]):
-            raise ValueError("shape out of bounds: boundary_cap")
-
-        def inside(*m):
-            return (m[0] - xc) ** 2 + (m[1] - yc) ** 2 <= R * R
-
-    elif spec.kind == "random_blobs":
-        placed = _blob_layout(spec)
+    else:
+        balls = _balls(spec, clear)
 
         def inside(*m):
             hit = np.zeros(m[0].shape, dtype=bool)
-            for c, r in placed:
+            for c, r in balls:
                 hit |= sum((mi - ci) ** 2 for mi, ci in zip(m, c)) <= r * r
             return hit
 
@@ -244,7 +238,13 @@ def run_scenario(spec):
 
 
 def default_scenarios(n=128):
-    """The shipped scenario set on an n-by-n unit square."""
+    """The shipped scenario set on an n-by-n unit square.
+
+    `boundary_cap` and `random_blobs` ship at h = 1e-7, where no step moves
+    a cell: they are stationary fixtures, not checks of motion. The cap's
+    `angle` is its interior angle at the wall; the coded energy is at
+    equilibrium at an interior angle of pi - alpha, not at alpha.
+    """
     p90 = EnergyParams(1.0, np.pi / 2)
     dims = (n, n)
     lengths = (1.0, 1.0)

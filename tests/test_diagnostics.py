@@ -23,7 +23,7 @@ from mskit.energy import (
 from mskit.fields import (
     MeanZeroField,
     VectorField,
-    h1_inner,
+    h1_norm_sq,
     hminus_norm_sq,
     make_grid,
 )
@@ -91,7 +91,7 @@ class TestPotentialW:
             w = potential_w(bar, anchor, 0.02)
             src = (bar.values - anchor.values) / 0.02
             dual = hminus_norm_sq(MeanZeroField(g, src - src.mean()))
-            assert h1_inner(w, w) == pytest.approx(dual, rel=1e-12, abs=1e-14)
+            assert h1_norm_sq(w) == pytest.approx(dual, rel=1e-12, abs=1e-14)
 
     def test_mass_mismatch_rejected(self):
         g = grid2(16)
@@ -106,6 +106,12 @@ class TestPotentialW:
         with pytest.raises(ValueError, match="tau"):
             potential_w(anchor, anchor, 0.0)
 
+    def test_domain_mismatch(self):
+        anchor = PhaseField(grid2(16), np.full((16, 16), 0.5))
+        bar = PhaseField(grid2(32), np.full((32, 32), 0.5))
+        with pytest.raises(ValueError, match="domain mismatch"):
+            potential_w(bar, anchor, 0.01)
+
 
 class TestMetricSlopes:
     def test_potential_slope_is_half_dirichlet(self):
@@ -114,7 +120,7 @@ class TestMetricSlopes:
         g = grid2(32)
         X, _ = g.meshes()
         w = MeanZeroField(g, np.cos(np.pi * X) - float(np.cos(np.pi * X).mean()))
-        assert 0.5 * h1_inner(w, w) == pytest.approx(np.pi ** 2 / 4, rel=1e-12)
+        assert 0.5 * h1_norm_sq(w) == pytest.approx(np.pi ** 2 / 4, rel=1e-12)
 
 
 class TestConstructXi:

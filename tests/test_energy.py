@@ -51,18 +51,6 @@ class TestPhaseField:
         with pytest.raises(ValueError, match="phase values"):
             PhaseField(g, np.full(g.shape, 1.5))
 
-    def test_binary_flag_detected(self):
-        g = grid2(16)
-        chi = shapes.stripe(g)
-        assert chi.binary
-        relaxed = PhaseField(g, np.full(g.shape, 0.5))
-        assert not relaxed.binary
-
-    def test_binary_flag_rejected_on_relaxed(self):
-        g = grid2(16)
-        with pytest.raises(ValueError, match="binary"):
-            PhaseField(g, np.full(g.shape, 0.5), binary=True)
-
     def test_mass_target_mismatch(self):
         g = grid2(16)
         with pytest.raises(ValueError, match="mass"):

@@ -338,6 +338,13 @@ class TestCLI:
         assert main(["info", "--config", str(bad)]) == 2
         assert "scenario.kine" in capsys.readouterr().err
 
+    def test_unread_key_exit_code(self, tmp_path, capsys):
+        # a stripe's cut set on a ball is refused, not silently ignored
+        bad = tmp_path / "ball.cfg"
+        bad.write_text("scenario.kind = ball\nscenario.x_cut = 0.4\n")
+        assert main(["info", "--config", str(bad)]) == 2
+        assert "ball does not read x_cut" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", sorted(CHECKS))
     def test_check_suite_passes(self, suite_records, suite):
         records = suite_records[0][suite]

@@ -208,7 +208,6 @@ class TestMassThreshold:
         X = g.meshes()[0]
         u = PhaseField(g, 1.0 - X, m0=0.5)
         out = mass_threshold(u)
-        assert out.binary
         np.testing.assert_array_equal(out.values, (X < 0.5).astype(float))
 
     def test_binary_input_unchanged(self):
@@ -310,7 +309,7 @@ class TestMMStep:
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
         res = mm_step(chi, P, cfg)
-        assert res.chi_next.binary
+        assert np.isin(res.chi_next.values, (0.0, 1.0)).all()
         assert abs(res.chi_next.m0 - chi.m0) <= g.cell_volume
 
     def test_stationary_disk_moves_little(self):

@@ -1,5 +1,7 @@
 """Scenario construction, shape measurements and runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,12 +123,34 @@ class TestSpecValidation:
                 n_steps=0,
             )
 
+    UNREAD = [
+        ("ball", "x_cut", 0.5),
+        ("ball", "angle", 1.0),
+        ("ball", "seed", 3),
+        ("ball", "blob_count", 7),
+        ("two_balls", "angle", 1.0),
+        ("stripe", "centers", ((0.5, 0.5),)),
+        ("stripe", "radii", (0.2,)),
+        ("boundary_cap", "x_cut", 0.5),
+        ("boundary_cap", "seed", 3),
+        ("random_blobs", "centers", ((0.5, 0.5),)),
+        ("random_blobs", "radii", (0.2,)),
+        ("random_blobs", "angle", 1.0),
+    ]
+
+    @pytest.mark.parametrize("kind, field, value", UNREAD,
+                             ids=["%s-%s" % row[:2] for row in UNREAD])
+    def test_unread_field_rejected(self, kind, field, value):
+        base = {s.kind: s for s in default_scenarios(32)}[kind]
+        with pytest.raises(ValueError, match="%s does not read %s" % (kind, field)):
+            replace(base, **{field: value})
+
 
 class TestMakeInitial:
     def test_ball_mass(self):
         chi = make_initial(spec_ball(128))
         grid = chi.domain
-        assert chi.binary
+        assert np.isin(chi.values, (0.0, 1.0)).all()
         assert abs(chi.integral() - np.pi / 16) <= grid.cell_volume
 
     def test_stripe_mass(self):
@@ -264,12 +288,35 @@ class TestDefaultScenarios:
     def test_all_buildable(self):
         for spec in default_scenarios(64):
             chi = make_initial(spec)
-            assert chi.binary
+            assert np.isin(chi.values, (0.0, 1.0)).all()
             assert 0.0 < chi.integral() < chi.domain.volume
 
     def test_regrid(self):
         specs = default_scenarios(48)
         assert all(s.dims == (48, 48) for s in specs)
+
+    # sha256 of the float64 cell values of `make_initial` on each shipped
+    # kind; at 56 the cap's covered fractions sum to exactly 120.5 cells, a
+    # half-cell tie that the plain sum rounds to 120
+    SHAPE_SHA256 = {
+        (32, "ball"): "bfd2cc360252953a2144148b4d1e4609bf7de5ace772a1265f0d46decd77360e",
+        (32, "stripe"): "c21d47b594bca1c624ecb96da99146d0ced71049ef9931ea4edcf0b7d12eea6b",
+        (32, "two_balls"): "bdf585c3d142573df2299529d7eec94ba02104d106e6b2b436c45c64fd172868",
+        (32, "boundary_cap"): "8f9eadb7995eec120f29ed46e6a4d27d290ff34fd67e3068a6f978f03ecb25ff",
+        (32, "random_blobs"): "6b7c9ef82b29e067298c5fea5ce6d7f6beabbcba96acf70242daa3698251aeea",
+        (56, "ball"): "5c5537e6fbb8ad124200af967552e798c1d59e471beb6bf8b231d3154f485a1a",
+        (56, "stripe"): "8aca6f361e6db4350823fa6d19d23b38bc976b78c059b479c75d374b66b7de4f",
+        (56, "two_balls"): "6e29dba4cc101a715aac9bb5e3746bdbffd231d0a11a1b965378497830422fd6",
+        (56, "boundary_cap"): "a8022f29994cc015d86f9c5b96db1ec91186b7ad7ffb782c88cafe835d5be1e8",
+        (56, "random_blobs"): "c4575b0b5b26bb31572cfbcae33a312c349b4b9d8e07e7f0c526b752f9536b3d",
+    }
+
+    @pytest.mark.parametrize("n, kind", sorted(SHAPE_SHA256))
+    def test_shapes_pinned(self, n, kind):
+        spec = next(s for s in default_scenarios(n) if s.kind == kind)
+        values = np.ascontiguousarray(make_initial(spec).values, dtype="<f8")
+        digest = hashlib.sha256(values.tobytes()).hexdigest()
+        assert digest == self.SHAPE_SHA256[n, kind]
 
 
 def consistency_record(suite_records, scenario, key):
