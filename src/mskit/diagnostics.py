@@ -15,7 +15,6 @@ import numpy as np
 from .fields import (
     MeanZeroField,
     VectorField,
-    div_mirror,
     grad_centered,
     h1_norm_sq,
     mollify,
@@ -24,10 +23,10 @@ from .fields import (
 )
 from .energy import (
     PHASE_MASS_RTOL,
-    _c1_seminorm,
     constraint_integral,
     default_tangential_fields,
     energy,
+    field_scale,
     first_variation,
     interface_measure,
     mollification_width,
@@ -107,28 +106,24 @@ def construct_xi(chi, eps):
 
 def lagrange_multiplier(chi, slc, w, xi, p):
     """Mass-constraint multiplier from the xi-pairing of the first variation."""
-    grid = chi.domain
     denom = constraint_integral(chi, xi)
     if denom < NORMALIZER_FLOOR:
         raise ValueError("degenerate multiplier normalizer")
-    flux = [w.values * c for c in xi.components]
-    div = div_mirror(flux, grid, tangential=xi.tangential)
-    wpair = float(np.sum(chi.values * div)) * grid.cell_volume
-    return (first_variation(slc, xi, p) - wpair) / denom
+    wxi = [w.values * c for c in xi.components]
+    wpair = constraint_integral(chi, VectorField(chi.domain, wxi, tangential=xi.tangential))
+    return (first_variation(chi, slc, xi, p) - wpair) / denom
 
 
 def gibbs_thomson_residual(chi, slc, w, lam, p, basis):
     """Worst normalized defect of the curvature-potential relation."""
-    grid = chi.domain
     worst = 0.0
     for B in basis:
         if not B.tangential:
             raise ValueError("Gibbs-Thomson basis fields must be tangential")
-        flux = [(w.values + lam) * c for c in B.components]
-        div = div_mirror(flux, grid, tangential=True)
-        pair = float(np.sum(chi.values * div)) * grid.cell_volume
-        resid = abs(first_variation(slc, B, p) - pair)
-        worst = max(worst, resid / (1.0 + B.max_norm() + _c1_seminorm(B, grid)))
+        fB = [(w.values + lam) * c for c in B.components]
+        pair = constraint_integral(chi, VectorField(chi.domain, fB, tangential=B.tangential))
+        resid = abs(first_variation(chi, slc, B, p) - pair)
+        worst = max(worst, resid / field_scale(B))
     return worst
 
 

@@ -4,7 +4,8 @@ The energy is c0 times the discrete perimeter of the phase plus a wall term:
 cos(alpha) * c0 times the wetted wall area, with alpha the contact angle the
 interface makes with the container. Interface geometry for diagnostics comes
 from a mollified slice: smooth the indicator, take the centered gradient,
-and read off a density, a unit inner normal, and per-face wall traces.
+and read off a density and a unit inner normal. The wall trace is the
+phase's own face cells, read where it is needed.
 """
 
 import itertools
@@ -123,16 +124,15 @@ def energy(chi, p):
 class VarifoldSlice:
     """Mollified interface measure of a phase field.
 
-    density is |grad of the smoothed indicator|, the normal points into the
-    phase, and boundary_density carries the sharp wall trace per face.
+    density is |grad of the smoothed indicator| and the normal points into
+    the phase. The slice has no wall part: the sharp wall trace is the
+    phase's face cells, which `first_variation` reads from the phase.
     """
 
-    def __init__(self, domain, epsilon, density, normal, boundary_density):
-        self.domain = domain
+    def __init__(self, epsilon, density, normal):
         self.epsilon = float(epsilon)
         self.density = density
         self.normal = normal
-        self.boundary_density = boundary_density
 
 
 def mollification_width(grid):
@@ -151,28 +151,24 @@ def interface_measure(chi, epsilon):
         c = np.zeros_like(g)
         c[mask] = g[mask] / dens[mask]
         comps.append(c)
-    boundary = {}
-    for a, side, idx in _face_slices(grid):
-        boundary[(a, side)] = np.array(chi.values[idx])
     return VarifoldSlice(
-        grid,
         epsilon,
         ScalarField(grid, dens),
         VectorField(grid, comps, tangential=False),
-        boundary,
     )
 
 
-def first_variation(slc, B, p):
-    """Derivative of the slice energy under the inner variation B.
+def first_variation(chi, slc, B, p):
+    """Derivative of the energy of chi's slice under the inner variation B.
 
-    Bulk part integrates (Id - n (x) n) : grad B against the density; the
-    wall part integrates the in-face divergence of B against the trace.
-    Requires a wall-tangential field.
+    Bulk part integrates (Id - n (x) n) : grad B against the slice density;
+    the wall part integrates the in-face divergence of B against the wall
+    trace, chi's cells on each face. Requires a wall-tangential field.
     """
     if not B.tangential:
         raise ValueError("first variation needs a wall-tangential field")
-    grid = slc.domain
+    grid = chi.domain
+    require_same_grid(chi, B)
     require_same_grid(slc.density, B)
     J = jacobian(B, grid)
     div = sum(J[a][a] for a in range(grid.d))
@@ -184,13 +180,9 @@ def first_variation(slc, B, p):
     bulk = p.c0 * float(np.sum((div - nJn) * slc.density.values)) * grid.cell_volume
 
     boundary = 0.0
-    for a, side, idx in _face_slices(grid):
-        tang_div = np.zeros(grid.shape)
-        for b in range(grid.d):
-            if b != a:
-                tang_div += J[b][b]
-        trace = slc.boundary_density[(a, side)]
-        boundary += float(np.sum(tang_div[idx] * trace)) * grid.face_area(a)
+    for a, _side, idx in _face_slices(grid):
+        tang_div = sum(J[b][b] for b in range(grid.d) if b != a)
+        boundary += float(np.sum(tang_div[idx] * chi.values[idx])) * grid.face_area(a)
     boundary *= p.cos_alpha * p.c0
     return bulk + boundary
 
@@ -210,7 +202,11 @@ def velocity_pairing_field(chi, B):
 
 
 def constraint_integral(chi, B):
-    """integral of chi times div B, the volume-preservation functional."""
+    """integral of chi times div B, the volume-preservation functional.
+
+    For B = f times a field, it is the audits' pairing of the weight f with
+    the interface velocity of that field.
+    """
     grid = chi.domain
     div = div_mirror(list(B.components), grid, tangential=B.tangential)
     return float(np.sum(chi.values * div)) * grid.cell_volume
@@ -375,15 +371,12 @@ def compatibility_check(chi, slc, p):
         slice_mass = p.c0 * float(dens[sl].sum()) * vol
         ok = ok and not tv_mass > slice_mass + slack * tv_mass
 
-    grads_sharp = grad_centered(chi.values, grid)
     n = slc.normal.components
 
     def oriented_residual(field):
         lhs = sum(n[a] * field.components[a] for a in range(grid.d)) * dens
-        rhs = sum(grads_sharp[a] * field.components[a] for a in range(grid.d))
-        raw = p.c0 * abs(float(np.sum(lhs - rhs))) * vol
-        scale = 1.0 + field.max_norm() + _c1_seminorm(field, grid)
-        return raw / scale
+        rhs = velocity_pairing_field(chi, field)
+        return p.c0 * abs(float(np.sum(lhs - rhs))) * vol / field_scale(field)
 
     res_eta = max(
         oriented_residual(f) for f in default_tangential_fields(grid, count=6)
@@ -394,10 +387,7 @@ def compatibility_check(chi, slc, p):
     return CompatibilityReport(ok, res_eta, res_xi)
 
 
-def _c1_seminorm(field, grid):
-    J = jacobian(field, grid)
-    m = 0.0
-    for row in J:
-        for arr in row:
-            m = max(m, float(np.max(np.abs(arr))))
-    return m
+def field_scale(B):
+    """1 + sup|B| + sup|grad B|, the normaliser of the audits' residuals."""
+    J = jacobian(B, B.domain)
+    return 1.0 + B.max_norm() + max(float(np.max(np.abs(g))) for row in J for g in row)

@@ -32,8 +32,14 @@ each component in the ghost layers across the faces normal to its own
 axis. The negation multiplies the ghost view in place, because numpy 2.4's
 `negative` ufunc, given a single-column view of some small arrays as its
 `out` (seen on 8 x 8), writes the negated first row into it.
+
+Cell averages are one rule too: `cell_average` takes the mean of a sampled
+function over the 4^d centred sub-lattice of each cell. It rasterises the
+initial shapes in `scenarios` and pulls fields back through flow maps in
+`flows`.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +47,7 @@ import numpy as np
 from scipy import ndimage
 
 MEAN_ZERO_RTOL = 1e-12
+_SUBLATTICE = 4
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,20 @@ class VectorField:
     def max_norm(self):
         sq = sum(c * c for c in self.components)
         return float(np.sqrt(sq.max()))
+
+
+def cell_average(grid, sample):
+    """Per cell, the mean of sample(*points) over its centred sub-lattice.
+
+    Per axis the offsets from the centre are (k + 1/2) / _SUBLATTICE - 1/2
+    cell widths. sample gets one grid-shaped array per axis, once per offset.
+    """
+    centers = grid.meshes()
+    offs = (np.arange(_SUBLATTICE) + 0.5) / _SUBLATTICE - 0.5
+    acc = np.zeros(grid.shape)
+    for shift in itertools.product(offs, repeat=grid.d):
+        acc += sample(*[centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)])
+    return acc / _SUBLATTICE ** grid.d
 
 
 def require_same_grid(a, b):

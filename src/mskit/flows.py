@@ -13,13 +13,12 @@ reaches, which is enough: wall-tangential flows, integrated in sub-cell
 steps, keep their points inside the box.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MeanZeroField, VectorField, _ghost_pad, hminus_norm_sq
+from .fields import MeanZeroField, VectorField, _ghost_pad, cell_average, hminus_norm_sq
 from .energy import (
     PhaseField,
     constraint_integral,
@@ -30,7 +29,6 @@ from .energy import (
 from .diagnostics import construct_xi
 
 _MASS_BISECT_STEPS = 80
-_SUPERSAMPLE = 4
 _CFL_FRACTION = 0.1
 _MASS_TOL_FRACTION = 1e-9
 _MEMBER_TOL = 1e-8
@@ -130,24 +128,20 @@ def _lookup(values, grid, pts):
 def _pullback(chi, maps):
     """Cell averages of chi composed with the maps of `_build_map`, in order.
 
-    Each cell is supersampled on a regular sub-lattice. A map moves the
-    sample points by one interpolation of its displacement; the warped
+    `fields.cell_average` samples each cell on its sub-lattice. A map moves
+    the sample points by one interpolation of its displacement; the warped
     points read the piecewise-constant chi directly, so the averages stay
     in [0,1] and the mass error is a resampling error only.
     """
     grid = chi.domain
-    centers = grid.meshes()
-    offs = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
-    acc = np.zeros(grid.shape)
-    for shift in itertools.product(offs, repeat=grid.d):
-        pts = [
-            centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)
-        ]
+
+    def sample(*pts):
         for disp in maps:
             off = _interp_vector(disp, grid, pts)
             pts = [pts[a] + off[a] for a in range(grid.d)]
-        acc += _lookup(chi.values, grid, pts)
-    return acc / _SUPERSAMPLE ** grid.d
+        return _lookup(chi.values, grid, pts)
+
+    return cell_average(grid, sample)
 
 
 def _require_member(chi, B):

@@ -1,7 +1,7 @@
 """Scenarios: their specs, initial fields, runs and shape measurements.
 
 Every kind but the stripe is a union of balls. Shapes are rasterized by
-supersampled cell averages and thresholded to binary fields, so repeated
+`fields.cell_average` and thresholded to binary fields, so repeated
 construction is bit-identical. `run_scenario` returns a scenario's
 trajectory with its dissipation ledger, and the measurement helpers read a
 run's states: how far cells moved from the initial interface, and the mass
@@ -16,7 +16,7 @@ import scipy.ndimage as ndi
 
 from .diagnostics import dissipation_ledger
 from .energy import EnergyParams, PhaseField
-from .fields import make_grid
+from .fields import cell_average, make_grid
 from .minmov import StepConfig, run_trajectory
 
 KINDS = ("ball", "two_balls", "stripe", "boundary_cap", "random_blobs")
@@ -69,28 +69,18 @@ class ScenarioSpec:
             raise ValueError("ball takes exactly one center and radius")
         if self.kind == "two_balls" and len(self.radii) != 2:
             raise ValueError("two_balls takes exactly two centers and radii")
+        if self.kind in ("ball", "two_balls") and any(
+                len(c) != len(self.dims) for c in self.centers):
+            raise ValueError("%s centers need %d coordinates" % (self.kind, len(self.dims)))
+        if self.kind == "boundary_cap" and (len(self.centers) > 1 or any(
+                x != 0 for c in self.centers for x in c[1:])):
+            raise ValueError("boundary_cap takes one center on the wall, (x, 0)")
         if self.kind == "stripe" and self.x_cut is None:
             raise ValueError("stripe needs x_cut")
         if self.kind == "boundary_cap" and (self.angle is None or not self.radii):
             raise ValueError("boundary_cap needs angle and radius")
         if self.kind == "random_blobs" and self.seed is None:
             raise ValueError("random_blobs needs a seed")
-
-
-def _supersampled(grid, indicator, n=4):
-    offs = (np.arange(n) + 0.5) / n
-    axes = []
-    for a in range(grid.d):
-        dx = grid.lengths[a] / grid.dims[a]
-        base = np.arange(grid.dims[a])[:, None] * dx
-        axes.append((base + offs[None, :] * dx).ravel())
-    meshes = np.meshgrid(*axes, indexing="ij")
-    fine = indicator(*meshes).astype(float)
-    shape = []
-    for a in range(grid.d):
-        shape.extend([grid.dims[a], n])
-    fine = fine.reshape(shape)
-    return fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))
 
 
 def _blob_layout(spec):
@@ -174,7 +164,7 @@ def make_initial(spec):
 
     # threshold at the fraction quantile that reproduces the covered mass,
     # so the binary mass tracks the analytic one to about half a cell
-    frac = _supersampled(grid, inside)
+    frac = cell_average(grid, inside)
     k = int(round(float(frac.sum())))
     if not (0 < k < frac.size):
         raise ValueError("shape out of bounds: empty or full phase")

@@ -22,6 +22,11 @@ between scipy's cosine transforms, np.diff, one zero-initialised
 accumulator per axis). The buffered stencils in `fields` must reproduce
 them bit for bit; its Poisson apply, which transforms by per-axis matrix
 products, matches to rounding.
+
+supersampled is the original shape rasteriser: it evaluates an indicator
+once on the whole fine lattice of n^d points per cell, placed from the cell
+corners, and averages each cell's block. `fields.cell_average` places the
+same points from the cell centres, one offset at a time.
 """
 
 import numpy as np
@@ -180,3 +185,19 @@ def grad_forward_adjoint_ref(ps, grid):
         acc[sl(0, n - 1)] -= p[sl(0, n - 1)]
         out += acc / h
     return out
+
+
+def supersampled(grid, indicator, n=4):
+    offs = (np.arange(n) + 0.5) / n
+    axes = []
+    for a in range(grid.d):
+        dx = grid.lengths[a] / grid.dims[a]
+        base = np.arange(grid.dims[a])[:, None] * dx
+        axes.append((base + offs[None, :] * dx).ravel())
+    meshes = np.meshgrid(*axes, indexing="ij")
+    fine = indicator(*meshes).astype(float)
+    shape = []
+    for a in range(grid.d):
+        shape.extend([grid.dims[a], n])
+    fine = fine.reshape(shape)
+    return fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))

@@ -12,6 +12,10 @@ An attribute use is matched by name alone, so it cannot tell a call of
 whose name an ndarray, dict, list or tuple also has, or another mskit
 class also has as a public member, therefore fails unless `SHARED_NAMES`
 names it with its program caller, read by hand.
+
+A second scan stands in for a linter's unused-import rule: every name a
+`src/mskit` module imports must be read in that module, unless
+`ALLOWED_UNREAD_IMPORTS` names it with the reason it stays.
 """
 
 import ast
@@ -35,6 +39,14 @@ SHARED_NAMES = {
     ),
     "Trajectory.n_steps": (
         "`traj.n_steps` in cli.cmd_run (a field of ScenarioSpec too)"
+    ),
+}
+
+# Imported names a module never reads, each with the reason it stays.
+ALLOWED_UNREAD_IMPORTS = {
+    "flows.interface_measure": (
+        "perfbench/tracing.py wraps `mskit.flows.interface_measure`, and "
+        "perfbench/test_perfbench.py looks the binding up there"
     ),
 }
 
@@ -180,3 +192,31 @@ def test_shared_names_are_current():
     for name in SHARED_NAMES:
         assert name in defs, "%s is no longer defined" % name
         assert name in shared, "%s no longer shares its name; drop it" % name
+
+
+def unread_imports():
+    """module.name for each name a `src/mskit` module imports but never reads."""
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds `a`
+                bound.update((alias.asname or alias.name).split(".")[0]
+                             for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unread.update("%s.%s" % (path.stem, name) for name in bound - read)
+    return unread
+
+
+def test_imports_are_read():
+    flagged = sorted(unread_imports() - set(ALLOWED_UNREAD_IMPORTS))
+    assert not flagged, "imported names never read: %s" % flagged
+
+
+def test_allowed_unread_imports_are_current():
+    unread = unread_imports()
+    for name in ALLOWED_UNREAD_IMPORTS:
+        assert name in unread, "%s is read or gone now; drop it from the list" % name

@@ -31,10 +31,11 @@ def grid2(n=64):
     return make_grid(2, (n, n), (1.0, 1.0))
 
 
-def wall_trace(slc):
-    """Face-measure-weighted sum of the slice's per-face wall traces."""
-    return sum(float(vals.sum()) * slc.domain.face_area(a)
-               for (a, _side), vals in slc.boundary_density.items())
+def wall_trace(chi):
+    """Face-measure-weighted sum of a 2-D phase's wall cells, face by face."""
+    v, g = chi.values, chi.domain
+    return (float(v[0, :].sum() + v[-1, :].sum()) * g.face_area(0)
+            + float(v[:, 0].sum() + v[:, -1].sum()) * g.face_area(1))
 
 
 class TestYoung:
@@ -117,7 +118,7 @@ class TestInterfaceMeasure:
         chi = PhaseField(g, np.zeros(g.shape))
         s = interface_measure(chi, 2 * g.spacing[0])
         assert s.density.integral() == 0.0
-        assert wall_trace(s) == 0.0
+        assert wall_trace(chi) == 0.0
 
     def test_stripe_mass_exact(self):
         # columnwise monotone profile: the centered gradient telescopes to
@@ -160,49 +161,64 @@ class TestInterfaceMeasure:
         s = interface_measure(chi, 2 * g.spacing[0])
         E = energy(chi, p)
         assert p.c0 * s.density.integral() == pytest.approx(E.bulk, rel=1e-10)
-        assert p.cos_alpha * p.c0 * wall_trace(s) == pytest.approx(
+        assert p.cos_alpha * p.c0 * wall_trace(chi) == pytest.approx(
             E.boundary, rel=1e-10)
 
 
 class TestFirstVariation:
     def test_zero_field(self):
         g = grid2(64)
-        s = interface_measure(shapes.binary_disk(g, (0.5, 0.5), 0.25),
-                              2 * g.spacing[0])
+        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
+        s = interface_measure(chi, 2 * g.spacing[0])
         z = vector_from_callables(
             g, [lambda x, y: np.zeros_like(x)] * 2, tangential=True)
-        assert first_variation(s, z, P90) == 0.0
+        assert first_variation(chi, s, z, P90) == 0.0
 
     def test_requires_tangential(self):
         g = grid2(32)
-        s = interface_measure(shapes.stripe(g), 2 * g.spacing[0])
+        chi = shapes.stripe(g)
+        s = interface_measure(chi, 2 * g.spacing[0])
         e1 = vector_from_callables(
             g, [lambda x, y: np.ones_like(x), lambda x, y: np.zeros_like(x)])
         with pytest.raises(ValueError, match="tangential"):
-            first_variation(s, e1, P90)
+            first_variation(chi, s, e1, P90)
+
+    def test_wall_part_reads_the_phase_trace(self):
+        # the stripe wets x < 1/2 of the walls y = 0 and y = 1; B = (sin pi x, 0)
+        # moves no interface (the bulk part vanishes), and on each wall the
+        # centred in-face divergence telescopes over the wetted cells to
+        # the mean of B's two cells at the cut, cos(pi / 128)
+        g = grid2(64)
+        chi = shapes.stripe(g)
+        s = interface_measure(chi, 2 * g.spacing[0])
+        B = vector_from_callables(
+            g, [lambda x, y: np.sin(np.pi * x), lambda x, y: np.zeros_like(x)])
+        p = EnergyParams(1.0, np.pi / 3)
+        expect = 2 * p.cos_alpha * p.c0 * np.cos(np.pi / 128)
+        assert first_variation(chi, s, B, p) == pytest.approx(expect, rel=1e-12)
 
     def test_dilation_trace_identity(self):
         # grad B is the identity matrix on the interface band, where the
         # tangential trace of Id is d-1, so the first variation equals the
         # slice bulk mass exactly
         g = grid2(128)
-        s = interface_measure(shapes.binary_disk(g, (0.5, 0.5), 0.25),
-                              2 * g.spacing[0])
+        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
+        s = interface_measure(chi, 2 * g.spacing[0])
         B = tapered_dilation(g, (0.5, 0.5))
-        dmu = first_variation(s, B, P90)
+        dmu = first_variation(chi, s, B, P90)
         assert dmu == pytest.approx(s.density.integral(), rel=1e-10)
 
     def test_rotation_exactly_neutral(self):
         g = grid2(128)
-        s = interface_measure(shapes.binary_disk(g, (0.5, 0.5), 0.25),
-                              2 * g.spacing[0])
+        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
+        s = interface_measure(chi, 2 * g.spacing[0])
         rot = default_tangential_fields(g, count=None)[-1]
-        assert abs(first_variation(s, rot, P90)) <= 1e-10
+        assert abs(first_variation(chi, s, rot, P90)) <= 1e-10
 
     def test_linearity(self):
         g = grid2(64)
-        s = interface_measure(shapes.binary_disk(g, (0.5, 0.5), 0.25),
-                              2 * g.spacing[0])
+        chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
+        s = interface_measure(chi, 2 * g.spacing[0])
         fs = default_tangential_fields(g, count=3)
         from mskit.fields import VectorField
         combo = VectorField(
@@ -211,8 +227,9 @@ class TestFirstVariation:
              for a in range(2)],
             tangential=True,
         )
-        lhs = first_variation(s, combo, P90)
-        rhs = 2.0 * first_variation(s, fs[0], P90) - 0.5 * first_variation(s, fs[1], P90)
+        lhs = first_variation(chi, s, combo, P90)
+        rhs = (2.0 * first_variation(chi, s, fs[0], P90)
+               - 0.5 * first_variation(chi, s, fs[1], P90))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_curvature_pairing_oracle(self):
@@ -238,7 +255,7 @@ class TestFirstVariation:
 
         B = vector_from_callables(g, [bx, by])
         assert B.tangential
-        dmu = first_variation(s, B, P90)
+        dmu = first_variation(chi, s, B, P90)
         nx, ny = s.normal.components
         nB = nx * B.components[0] + ny * B.components[1]
         oracle = -float(np.sum((1.0 / np.maximum(r, 1e-12)) * nB
@@ -257,7 +274,7 @@ class TestFirstVariation:
             slice_energy = (p.c0 * s.density.integral() + p.cos_alpha * p.c0
                             * boundary_trace_integral(chi.values, g))
             bound = slice_energy * np.sqrt(g.d) * (B.max_norm() + c1)
-            assert abs(first_variation(s, B, p)) <= bound + 1e-12
+            assert abs(first_variation(chi, s, B, p)) <= bound + 1e-12
 
 
 class TestPairVelocity:
@@ -325,10 +342,7 @@ class TestCompatibility:
         chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
         s = interface_measure(chi, 2 * g.spacing[0])
         fake = VarifoldSlice(
-            g, s.epsilon,
-            ScalarField(g, 0.5 * s.density.values),
-            s.normal, s.boundary_density,
-        )
+            s.epsilon, ScalarField(g, 0.5 * s.density.values), s.normal)
         rep = compatibility_check(chi, fake, P90)
         assert not rep.ok
 
@@ -337,10 +351,7 @@ class TestCompatibility:
         chi = shapes.stripe(g)
         s = interface_measure(chi, 2 * g.spacing[0])
         fake = VarifoldSlice(
-            g, s.epsilon,
-            ScalarField(g, 0.5 * s.density.values),
-            s.normal, s.boundary_density,
-        )
+            s.epsilon, ScalarField(g, 0.5 * s.density.values), s.normal)
         rep = compatibility_check(chi, fake, P90)
         assert not rep.ok
 

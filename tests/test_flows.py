@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mskit import flows
+from mskit.diagnostics import gibbs_thomson_residual, lagrange_multiplier, potential_w
 from mskit.energy import (
+    compatibility_check,
     constraint_integral,
     default_tangential_fields,
+    interface_measure,
     mollification_width,
     velocity_pairing_field,
 )
 from mskit.fields import (
+    _SUBLATTICE,
     MeanZeroField,
     VectorField,
     _ghost_pad,
@@ -22,7 +26,6 @@ from mskit.fields import (
 from mskit.flows import (
     _CFL_FRACTION,
     _MASS_TOL_FRACTION,
-    _SUPERSAMPLE,
     _build_map,
     _interp_vector,
     _pullback,
@@ -42,6 +45,12 @@ CHECK_FLOWS_R = (
     0.017724416791066955,
     0.02575791612709803,
 )
+# the interface audit of the same ball with a zero potential, as the
+# `flow_verify` benchmark runs it: multiplier, Gibbs-Thomson residual and
+# the two compatibility identity residuals
+CHECK_FLOWS_LAMBDA = 3.8314470064454227
+CHECK_FLOWS_GT_RESIDUAL = 0.01157338743602623
+CHECK_FLOWS_COMPAT = (0.0013398239385823008, 0.0013378501113719943)
 # `_interp_vector` calls of `mskit check flows` over its four s values:
 # each interpolates one grid's worth of points and together they are the
 # cost. The RK4 stages that build each map, then one call per map for each
@@ -93,7 +102,7 @@ def backward_pullback_reference(chi, B, s):
     dt = -s / n_sub
     axes = [grid.cell_centers(a) for a in range(grid.d)]
     centers = np.meshgrid(*axes, indexing="ij")
-    offs = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
+    offs = (np.arange(_SUBLATTICE) + 0.5) / _SUBLATTICE - 0.5
     acc = np.zeros(grid.shape)
     for shift in itertools.product(offs, repeat=grid.d):
         X = [c + o * h for c, o, h in zip(centers, shift, grid.spacing)]
@@ -109,7 +118,7 @@ def backward_pullback_reference(chi, B, s):
             for x, h, n in zip(X, grid.spacing, grid.dims)
         )
         acc += chi.values[idx]
-    return acc / _SUPERSAMPLE ** grid.d
+    return acc / _SUBLATTICE ** grid.d
 
 
 def resample_floor(chi):
@@ -467,6 +476,23 @@ class TestFlowDeform:
         _, out = flow_deform(disk64, member64, 0.04)
         assert np.all(out.values >= 0.0)
         assert np.all(out.values <= 1.0)
+
+
+def test_check_flows_audit_pinned(check_flows_case):
+    chi, _B = check_flows_case
+    grid = chi.domain
+    p = next(s for s in default_scenarios(64) if s.name == "ball").params
+    eps = mollification_width(grid)
+    slc = interface_measure(chi, eps)
+    rep = compatibility_check(chi, slc, p)
+    w = potential_w(chi, chi, 1.0)
+    lam = lagrange_multiplier(chi, slc, w, construct_xi(chi, eps), p)
+    gt = gibbs_thomson_residual(chi, slc, w, lam, p, default_tangential_fields(grid))
+    assert rep.ok
+    assert (rep.comp_identity_residual, rep.wall_identity_residual) == pytest.approx(
+        CHECK_FLOWS_COMPAT, rel=1e-12)
+    assert lam == pytest.approx(CHECK_FLOWS_LAMBDA, rel=1e-12)
+    assert gt == pytest.approx(CHECK_FLOWS_GT_RESIDUAL, rel=1e-12)
 
 
 class TestVelocityConvergence:

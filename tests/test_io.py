@@ -338,6 +338,14 @@ class TestCLI:
         assert main(["info", "--config", str(bad)]) == 2
         assert "scenario.kine" in capsys.readouterr().err
 
+    def test_center_arity_exit_code(self, tmp_path, capsys):
+        # the shipped two-coordinate ball centre on a 3-D grid is refused
+        bad = tmp_path / "ball3d.cfg"
+        bad.write_text("scenario.kind = ball\nscenario.dims = 16 16 16\n"
+                       "scenario.lengths = 1 1 1\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "error: ball centers need 3 coordinates" in capsys.readouterr().err
+
     def test_unread_key_exit_code(self, tmp_path, capsys):
         # a stripe's cut set on a ball is refused, not silently ignored
         bad = tmp_path / "ball.cfg"

@@ -1,12 +1,15 @@
 """Scenario construction, shape measurements and runs."""
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from mskit import scenarios
 from mskit.energy import EnergyParams, PhaseField
 from mskit.fields import make_grid
 from mskit.minmov import StepConfig
@@ -18,6 +21,12 @@ from mskit.scenarios import (
     make_initial,
     run_scenario,
 )
+
+from oracles import supersampled
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 P90 = EnergyParams(1.0, np.pi / 2)
 
@@ -122,6 +131,26 @@ class TestSpecValidation:
                 lengths=(1.0, 1.0), params=P90, step=StepConfig(h=1e-4),
                 n_steps=0,
             )
+
+    @pytest.mark.parametrize("kind, dims, centers", [
+        ("ball", (32, 32), ((0.5, 0.5, 9.0),)),
+        ("ball", (16, 16, 16), ((0.5, 0.5),)),
+        ("two_balls", (32, 32), ((0.3, 0.5), (0.7, 0.5, 0.5))),
+    ])
+    def test_center_coordinates_match_dims(self, kind, dims, centers):
+        base = {s.kind: s for s in default_scenarios(32)}[kind]
+        with pytest.raises(ValueError, match="centers need %d coordinates" % len(dims)):
+            replace(base, dims=dims, lengths=(1.0,) * len(dims), centers=centers)
+
+    @pytest.mark.parametrize("centers", [
+        ((0.5, 0.3),),
+        ((0.5, 0.0, 0.2),),
+        ((0.4, 0.0), (0.6, 0.0)),
+    ])
+    def test_cap_center_on_the_wall(self, centers):
+        base = {s.kind: s for s in default_scenarios(32)}["boundary_cap"]
+        with pytest.raises(ValueError, match="one center on the wall"):
+            replace(base, centers=centers)
 
     UNREAD = [
         ("ball", "x_cut", 0.5),
@@ -310,6 +339,28 @@ class TestDefaultScenarios:
         (56, "boundary_cap"): "a8022f29994cc015d86f9c5b96db1ec91186b7ad7ffb782c88cafe835d5be1e8",
         (56, "random_blobs"): "c4575b0b5b26bb31572cfbcae33a312c349b4b9d8e07e7f0c526b752f9536b3d",
     }
+
+    # every shipped shape that fits its grid (16^2 has no room for
+    # two_balls), and the benchmark's seeded caps
+    SPECS = [(n, s) for n in (16, 24, 32, 56, 64, 128, 256)
+             for s in default_scenarios(n) if (n, s.kind) != (16, "two_balls")]
+    SPECS += [(64, workloads.cap_spec(seed)) for seed in range(24)]
+
+    @pytest.mark.parametrize("n, spec", SPECS, ids=[
+        "%d-%s-%d" % (n, s.kind, i) for i, (n, s) in enumerate(SPECS)])
+    def test_cell_average_matches_supersampled(self, n, spec, monkeypatch):
+        # the shape's own predicate, as make_initial hands it over
+        calls = []
+        cell_average = scenarios.cell_average
+
+        def spy(grid, sample):
+            calls.append((grid, sample))
+            return cell_average(grid, sample)
+
+        monkeypatch.setattr(scenarios, "cell_average", spy)
+        make_initial(spec)
+        (grid, inside), = calls
+        assert np.array_equal(cell_average(grid, inside), supersampled(grid, inside))
 
     @pytest.mark.parametrize("n, kind", sorted(SHAPE_SHA256))
     def test_shapes_pinned(self, n, kind):
