@@ -37,6 +37,12 @@ Cell averages are one rule too: `cell_average` takes the mean of a sampled
 function over the 4^d centred sub-lattice of each cell. It rasterises the
 initial shapes in `scenarios` and pulls fields back through flow maps in
 `flows`.
+
+`mollify` correlates one axis at a time with symmetric walls, in numpy
+alone. It keeps the order of scipy.ndimage's symmetric-filter loop (centre
+tap first, then the mirrored pairs from the outermost inwards), so it
+returns `correlate1d(..., mode="reflect")` bit for bit; summing the pairs
+innermost first moves results by an ulp.
 """
 
 import itertools
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 MEAN_ZERO_RTOL = 1e-12
 _SUBLATTICE = 4
@@ -499,6 +504,31 @@ def _bump_taps(eps, h):
     return taps / taps.sum()
 
 
+def _correlate_symmetric(values, taps, axis):
+    """Correlate one axis with symmetric taps, walls reflected symmetrically.
+
+    The arithmetic is scipy.ndimage's for a symmetric filter
+    (`NI_Correlate1D`): the centre tap times the cell, then the mirrored
+    pair sums times their tap, from the outermost pair inwards. This order
+    makes `mollify` bit for bit `correlate1d(..., mode="reflect")`.
+    """
+    w = taps.size // 2
+    n = values.shape[axis]
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (w, w)
+    padded = np.pad(values, pad, mode="symmetric")
+
+    def shifted(j):
+        index = [slice(None)] * values.ndim
+        index[axis] = slice(w + j, w + j + n)
+        return padded[tuple(index)]
+
+    acc = shifted(0) * taps[w]
+    for j in range(w, 0, -1):
+        acc += (shifted(-j) + shifted(j)) * taps[w - j]
+    return acc
+
+
 def mollify(values, grid, eps):
     """Smooth by a tensor-product compact bump of radius eps.
 
@@ -509,6 +539,5 @@ def mollify(values, grid, eps):
         raise ValueError("under-resolved mollification: eps below grid spacing")
     out = np.array(values, dtype=np.float64)
     for a in range(grid.d):
-        taps = _bump_taps(eps, grid.spacing[a])
-        out = ndimage.correlate1d(out, taps, axis=a, mode="reflect")
+        out = _correlate_symmetric(out, _bump_taps(eps, grid.spacing[a]), a)
     return out

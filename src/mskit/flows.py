@@ -36,7 +36,31 @@ _MEMBER_TOL = 1e-8
 DEFAULT_S_FRACTIONS = (0.08, 0.04, 0.02, 0.01)
 
 
-def _interp_vector(components, grid, pts):
+class _InterpScratch:
+    """Work arrays of `_interp_vector` for points of one shape.
+
+    Per axis the two linear weights and the two flat ghost-grid offsets,
+    then the corner weight, the corner offset and the gathered values.
+    `_flow_displacement` and `_pullback` make one per call and pass it to
+    every interpolation they run, so those write into the same memory
+    instead of allocating and freeing their temporaries each time.
+    """
+
+    def __init__(self, d, shape):
+        self.t = np.empty(shape)
+        self.base = np.empty(shape)
+        self.index = np.empty(shape, dtype=np.int64)
+        self.frac = [(np.empty(shape), np.empty(shape)) for _ in range(d)]
+        self.flat = [
+            (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+            for _ in range(d)
+        ]
+        self.weight = np.empty(shape)
+        self.offset = np.empty(shape, dtype=np.int64)
+        self.gather = np.empty(shape)
+
+
+def _interp_vector(components, grid, pts, scratch=None):
     """Multilinear interpolation of a vector field at points.
 
     pts is a list of per-axis coordinate arrays (any common shape). The
@@ -49,35 +73,52 @@ def _interp_vector(components, grid, pts):
     farther out raises ValueError. No flow gets there: B is wall
     tangential, so its flow keeps the box, and an RK4 substep moves a
     point less than a tenth of a cell.
+    The work arrays come from `scratch`, an `_InterpScratch` of the
+    points' shape (a new one when it is None); the returned components
+    are new arrays on every call.
     """
     d = grid.d
     h = grid.spacing
-    frac, flat = [], []
+    shape = np.shape(pts[0])
+    if scratch is None:
+        scratch = _InterpScratch(d, shape)
+    t, base, i = scratch.t, scratch.base, scratch.index
     for b in range(d):
         n = grid.dims[b]
         stride = math.prod(m + 2 for m in grid.dims[b + 1:])
-        t = pts[b] / h[b] - 0.5
-        base = np.floor(t)
-        f = t - base
-        frac.append((1.0 - f, f))
-        i = base.astype(np.int64)
+        np.divide(pts[b], h[b], out=t)
+        np.subtract(t, 0.5, out=t)
+        np.floor(t, out=base)
+        lower, upper = scratch.frac[b]
+        np.subtract(t, base, out=upper)
+        np.subtract(1.0, upper, out=lower)
+        np.copyto(i, base, casting="unsafe")
         if i.size and (i.min() < -1 or i.max() > n - 1):
             outside = max(-0.5 - t.min(), t.max() + 0.5 - n)
             raise ValueError(
                 "interpolation point %.3g cells outside the box on axis %d; "
                 "the ghost layer reaches half a cell" % (outside, b)
             )
-        flat.append(((i + 1) * stride, (i + 2) * stride))
-    out = [np.zeros(np.shape(pts[0])) for _ in range(d)]
+        lo, hi = scratch.flat[b]
+        np.add(i, 1, out=lo)
+        lo *= stride
+        np.add(i, 2, out=hi)
+        hi *= stride
+    w, offset, gather = scratch.weight, scratch.offset, scratch.gather
+    out = [np.zeros(shape) for _ in range(d)]
     for corner in range(2 ** d):
         bits = [(corner >> b) & 1 for b in range(d)]
-        w = 1.0
-        offset = 0
-        for b in range(d):
-            w = w * frac[b][bits[b]]
-            offset = offset + flat[b][bits[b]]
+        np.copyto(w, scratch.frac[0][bits[0]])
+        np.copyto(offset, scratch.flat[0][bits[0]])
+        for b in range(1, d):
+            w *= scratch.frac[b][bits[b]]
+            offset += scratch.flat[b][bits[b]]
         for a in range(d):
-            out[a] += w * np.take(components[a], offset)
+            # the offsets were range-checked above; "clip" gathers straight
+            # into `gather`, where the default mode would buffer a copy
+            np.take(components[a], offset, out=gather, mode="clip")
+            gather *= w
+            out[a] += gather
     return out
 
 
@@ -93,11 +134,12 @@ def _flow_displacement(B, grid, s):
     n_sub = max(1, int(np.ceil(abs(s) * speed / (_CFL_FRACTION * min(grid.spacing)))))
     dt = s / n_sub
     comps = _ghost_pad(B.components, tangential=True)
+    scratch = _InterpScratch(grid.d, grid.shape)
     for _ in range(n_sub):
-        k1 = _interp_vector(comps, grid, X)
-        k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
-        k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)])
-        k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)])
+        k1 = _interp_vector(comps, grid, X, scratch)
+        k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)], scratch)
+        k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)], scratch)
+        k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)], scratch)
         for a in range(grid.d):
             X[a] += dt / 6.0 * (k1[a] + 2 * k2[a] + 2 * k3[a] + k4[a])
     return [X[a] - start[a] for a in range(grid.d)]
@@ -134,10 +176,11 @@ def _pullback(chi, maps):
     in [0,1] and the mass error is a resampling error only.
     """
     grid = chi.domain
+    scratch = _InterpScratch(grid.d, grid.shape)
 
     def sample(*pts):
         for disp in maps:
-            off = _interp_vector(disp, grid, pts)
+            off = _interp_vector(disp, grid, pts, scratch)
             pts = [pts[a] + off[a] for a in range(grid.d)]
         return _lookup(chi.values, grid, pts)
 

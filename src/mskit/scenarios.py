@@ -7,12 +7,17 @@ trajectory with its dissipation ledger, and the measurement helpers read a
 run's states: how far cells moved from the initial interface, and the mass
 of the smaller of two components. The verdicts built on them live in
 `checks`.
+
+Both measurements are exact rules on integer cell indices. Components are
+face-connected and numbered in raster order of their first cell, as
+scipy.ndimage.label numbers them. A displacement is the square root of the
+least integer squared index distance to an interface cell, as scipy's
+exact distance transform measures it.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .diagnostics import dissipation_ledger
 from .energy import EnergyParams, PhaseField
@@ -174,17 +179,68 @@ def make_initial(spec):
     return PhaseField(grid, flat.reshape(grid.shape))
 
 
+def _edge(inside):
+    """Cells of `inside` with a face neighbour outside it or off the grid."""
+    padded = np.pad(inside, 1)  # a False border: wall cells of the phase are edge
+    eroded = inside.copy()
+    for axis, n in enumerate(inside.shape):
+        for step in (-1, 1):
+            index = [slice(1, -1)] * inside.ndim
+            index[axis] = slice(1 + step, n + 1 + step)
+            eroded &= padded[tuple(index)]
+    return inside & ~eroded
+
+
 def interface_displacement_cells(chi0, chi1):
-    """Largest distance, in cells, from a changed cell to the initial interface."""
-    changed = chi1.values != chi0.values
-    if not np.any(changed):
-        return 0.0
+    """Largest distance, in cells, from a changed cell to the initial interface.
+
+    The interface is the set of cells of the initial phase with a face
+    neighbour outside it or on a wall. A distance is the square root of the
+    least integer squared index distance to one of its cells. The initial
+    phase must not be empty: then there is no interface to measure from.
+    """
     inside = chi0.values > 0.5
-    edge = inside & ~ndi.binary_erosion(inside)
-    if not np.any(edge):
-        edge = inside
-    dist = ndi.distance_transform_edt(~edge)
-    return float(dist[changed].max())
+    if not np.any(inside):
+        raise ValueError("empty initial phase: no interface to measure from")
+    changed = np.argwhere(chi1.values != chi0.values)
+    if not changed.size:
+        return 0.0
+    edge = np.argwhere(_edge(inside))
+    rows = max(1, 2 ** 18 // len(edge))  # changed cells per block of distances
+    farthest = 0  # the largest squared distance to the nearest edge cell
+    for k in range(0, len(changed), rows):
+        sq = 0
+        for a in range(inside.ndim):
+            diff = changed[k:k + rows, a, None] - edge[None, :, a]
+            sq = sq + diff * diff
+        farthest = max(farthest, int(sq.min(axis=1).max()))
+    return float(np.sqrt(farthest))
+
+
+def _label(mask):
+    """Face-connected components of a boolean array and their count.
+
+    Every cell of the mask starts with its flat index; neighbour minima and
+    a jump to the label's own label repeat until nothing changes, which
+    leaves each component its least index. Components are numbered 1, 2, ...
+    in raster order of that first cell, 0 outside the mask.
+    """
+    size = mask.size
+    index = np.arange(size).reshape(mask.shape)
+    lab = np.where(mask, index, size)
+    while True:
+        prev = lab.copy()
+        for axis in range(mask.ndim):
+            lo = (slice(None),) * axis + (slice(0, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            np.minimum(lab[lo], lab[hi], out=lab[lo], where=mask[lo])
+            np.minimum(lab[hi], lab[lo], out=lab[hi], where=mask[hi])
+        lab = np.append(lab.ravel(), size)[lab]
+        if np.array_equal(lab, prev):
+            break
+    first = (lab == index).ravel()
+    rank = np.append(np.cumsum(first), 0)  # rank[size] = 0 labels the outside
+    return rank[lab], int(np.count_nonzero(first))
 
 
 def component_masses(states):
@@ -195,24 +251,22 @@ def component_masses(states):
     extinction and ends the series.
     """
     first = states[0]
-    lab, nl = ndi.label(first.values > 0.5)
+    lab, nl = _label(first.values > 0.5)
     if nl < 2:
         raise ValueError("need at least two components to track")
-    sizes = ndi.sum_labels(np.ones(first.values.shape), lab, index=range(1, nl + 1))
+    sizes = np.bincount(lab.ravel(), minlength=nl + 1)[1:]
     small = int(np.argmin(sizes)) + 1
     mask = lab == small
     vol = first.domain.cell_volume
     masses = [float(mask.sum()) * vol]
     for state in states[1:]:
-        lab, nl = ndi.label(state.values > 0.5)
+        lab, nl = _label(state.values > 0.5)
         if nl == 0:
             masses.append(0.0)
             break
-        overlaps = [
-            float(np.sum(mask & (lab == k))) for k in range(1, nl + 1)
-        ]
+        overlaps = np.bincount(lab[mask], minlength=nl + 1)[1:]
         best = int(np.argmax(overlaps)) + 1
-        if overlaps[best - 1] == 0.0:
+        if overlaps[best - 1] == 0:
             masses.append(0.0)
             break
         mask = lab == best

@@ -16,9 +16,17 @@ names it with its program caller, read by hand.
 A second scan stands in for a linter's unused-import rule: every name a
 `src/mskit` module imports must be read in that module, unless
 `ALLOWED_UNREAD_IMPORTS` names it with the reason it stays.
+
+Last, a fresh interpreter imports the command line and every module of the
+package and must load no scipy module: the program runs on numpy alone,
+and scipy, whose `ndimage` import once cost most of a cold start, is a
+test dependency only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,3 +228,22 @@ def test_allowed_unread_imports_are_current():
     unread = unread_imports()
     for name in ALLOWED_UNREAD_IMPORTS:
         assert name in unread, "%s is read or gone now; drop it from the list" % name
+
+
+def test_package_imports_without_scipy():
+    modules = ["mskit.cli"] + ["mskit." + p.stem for p in sorted(PACKAGE.glob("*.py"))]
+    code = (
+        "import importlib, sys\n"
+        "for name in %r:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        % (modules,)
+    )
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", "scipy modules loaded: %s" % proc.stdout

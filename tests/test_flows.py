@@ -26,7 +26,9 @@ from mskit.fields import (
 from mskit.flows import (
     _CFL_FRACTION,
     _MASS_TOL_FRACTION,
+    _InterpScratch,
     _build_map,
+    _flow_displacement,
     _interp_vector,
     _pullback,
     construct_xi,
@@ -225,11 +227,54 @@ class TestInterpolation:
             x = rng.uniform(-reach * h, L + reach * h, 48)
             x[:4] = (0.0, L, 0.0, L)  # on the faces
             pts.append(rng.permutation(x).reshape(6, 8))
-        out = _interp_vector(_ghost_pad(comps, tangential=True), grid, pts)
+        padded = _ghost_pad(comps, tangential=True)
+        out = _interp_vector(padded, grid, pts)
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert out[a].shape == ref.shape
             assert np.array_equal(out[a], ref)
+
+        # the buffered path: consecutive calls at different points through
+        # one scratch, each result its own array
+        scratch = _InterpScratch(d, pts[0].shape)
+        results = []
+        for pts_k in (pts, [p[::-1] * 0.5 for p in pts], pts):
+            out = _interp_vector(padded, grid, pts_k, scratch)
+            for a in range(d):
+                ref = _interp_component_reference(comps[a], grid, pts_k, a)
+                assert np.array_equal(out[a], ref)
+            results.extend(out)
+        assert not any(np.shares_memory(x, y)
+                       for x, y in itertools.combinations(results, 2))
+
+        # the RK4 stages of a flow map share one scratch: k1..k4 must stay
+        # distinct arrays, and the map must equal one built without reuse
+        B = VectorField(grid, comps, tangential=True)
+        s = 0.25 * min(grid.spacing) / B.max_norm()  # three substeps
+        interp = flows._interp_vector
+        stages, fresh = [], []
+
+        def recorded(components, grid_, pts_, scratch_):
+            stages.append(interp(components, grid_, pts_, scratch_))
+            return stages[-1]
+
+        def unbuffered(components, grid_, pts_, scratch_):
+            fresh.append(interp(components, grid_, pts_))
+            return fresh[-1]
+
+        try:
+            flows._interp_vector = recorded
+            disp = _flow_displacement(B, grid, s)
+            flows._interp_vector = unbuffered
+            ref = _flow_displacement(B, grid, s)
+        finally:
+            flows._interp_vector = interp
+        assert len(stages) == len(fresh) == 12
+        arrays = [c for k in stages for c in k] + disp
+        assert not any(np.shares_memory(x, y)
+                       for x, y in itertools.combinations(arrays, 2))
+        for a in range(d):
+            assert np.array_equal(disp[a], ref[a])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
+from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 
@@ -262,6 +264,27 @@ class TestMakeInitial:
         assert 0.0 < chi.integral() < chi.domain.volume
 
 
+@st.composite
+def random_phases(draw):
+    """A grid and a nonempty binary phase: scattered cells or a few blobs."""
+    d = draw(st.sampled_from((2, 3)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(n) for n in rng.integers(8, 41 if d == 2 else 21, d))
+    grid = make_grid(d, dims, (1.0,) * d)
+    if draw(st.booleans()):
+        values = rng.random(dims) < draw(st.floats(0.05, 0.9))
+    else:
+        meshes = grid.meshes()
+        values = np.zeros(dims, dtype=bool)
+        for _ in range(draw(st.integers(1, 4))):
+            c = rng.uniform(0.0, 1.0, d)
+            r = rng.uniform(0.05, 0.4)
+            values |= sum((m - ci) ** 2 for m, ci in zip(meshes, c)) <= r * r
+    values.flat[rng.integers(values.size)] = True
+    return grid, PhaseField(grid, values.astype(float))
+
+
 class TestGeometryHelpers:
     def test_zero_displacement(self):
         chi = make_initial(spec_ball(64))
@@ -272,6 +295,38 @@ class TestGeometryHelpers:
         b = make_initial(spec_ball(64, center=(0.5 + 2.0 / 64, 0.5)))
         d = interface_displacement_cells(a, b)
         assert 1.0 <= d <= 3.0
+
+    def test_empty_initial_phase_rejected(self):
+        # with no interface there is nothing to measure from: scipy's
+        # distance transform, given no zero, measured from a point off the
+        # grid (10.63 cells on this 8^2 grid)
+        grid = make_grid(2, (8, 8), (1.0, 1.0))
+        empty = PhaseField(grid, np.zeros(grid.dims))
+        diagonal = PhaseField(grid, np.eye(8))
+        with pytest.raises(ValueError, match="empty initial phase"):
+            interface_displacement_cells(empty, diagonal)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_phases(), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+    def test_displacement_matches_scipy(self, case, flip, seed):
+        # scipy's face erosion and exact distance transform are the oracle
+        grid, chi0 = case
+        changed = np.random.default_rng(seed).random(grid.dims) < flip
+        chi1 = PhaseField(grid, np.where(changed, 1.0 - chi0.values, chi0.values))
+        inside = chi0.values > 0.5
+        dist = ndi.distance_transform_edt(~(inside & ~ndi.binary_erosion(inside)))
+        ref = float(dist[changed].max()) if changed.any() else 0.0
+        assert interface_displacement_cells(chi0, chi1) == ref
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_phases())
+    def test_labels_match_scipy(self, case):
+        _grid, chi = case
+        mask = chi.values > 0.5
+        lab, count = scenarios._label(mask)
+        ref, ref_count = ndi.label(mask)
+        assert count == ref_count
+        assert np.array_equal(lab, ref)
 
     def test_component_masses_need_two(self):
         chi = make_initial(spec_ball(64))
