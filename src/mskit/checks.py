@@ -16,6 +16,7 @@ import numpy as np
 
 from .diagnostics import (
     construct_xi,
+    dissipation_ledger,
     gibbs_thomson_residual,
     lagrange_multiplier,
     potential_w,
@@ -37,12 +38,12 @@ from .fields import (
 )
 from .flows import flow_deform, project_to_S_chi, velocity_convergence_check
 from .io import write_ledger
+from .minmov import run_trajectory
 from .scenarios import (
     component_masses,
     default_scenarios,
     interface_displacement_cells,
     make_initial,
-    run_scenario,
 )
 
 # floor of the dissipation margin, as a fraction of the initial energy
@@ -76,12 +77,13 @@ def _mini_set():
 
 @lru_cache(maxsize=None)
 def _run(spec):
-    """run_scenario, once per spec in a process.
+    """A scenario's trajectory and dissipation ledger, once per spec.
 
     The ledger suite and the two_balls run of the consistency suite use
     the same spec, so they share one run.
     """
-    return run_scenario(spec)
+    traj = run_trajectory(make_initial(spec), spec.params, spec.step, spec.n_steps)
+    return traj, dissipation_ledger(traj, spec.params, spec.step)
 
 
 def _mass_drift(ledger, grid):
@@ -98,7 +100,7 @@ def _worst_margin(ledger):
 
 
 def check_poisson(out_dir):
-    grid = make_grid(2, (128, 128), (1.0, 1.0))
+    grid = make_grid((128, 128), (1.0, 1.0))
     xs, _ = grid.meshes()
 
     # cosine eigenfunction of the weak Neumann Laplacian

@@ -54,7 +54,7 @@ def cmd_run(args):
                 r for i, r in enumerate(records)
                 if i % cfg.stride == 0 or i == last
             )
-            ledger = Ledger(records=records, E0=ledger.E0)
+            ledger = Ledger(records=records)
         path = os.path.join(cfg.out_dir, "ledger.csv")
         write_ledger(ledger, path)
         print("wrote %s (%d rows)" % (path, len(records)))

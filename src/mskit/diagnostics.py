@@ -62,14 +62,16 @@ class StepRecord:
 @dataclass(frozen=True)
 class Ledger:
     records: tuple
-    E0: float
 
     def __post_init__(self):
         ts = [r.t for r in self.records]
         if ts != sorted(ts):
             raise ValueError("ledger records are not time-ordered")
-        if self.records and abs(self.E0 - self.records[0].E_total) > 1e-12:
-            raise ValueError("E0 does not match the first record")
+
+    @property
+    def E0(self):
+        """The initial energy, the first row's total."""
+        return self.records[0].E_total
 
 
 def potential_w(chi_bar, chi_anchor, tau):
@@ -157,15 +159,22 @@ def dissipation_ledger(traj, p, cfg):
     solver tolerance. Slopes use the full-step transfer potential, or the
     trapezoid rule over the trajectory's De Giorgi snapshots when present.
     The step length is cfg.h, the mollification width four cell spacings.
+    The snapshots are (tau, field) pairs, S - 1 per step for S =
+    cfg.interpolant_samples, so step n's samples are the n-th block of
+    S - 1; a snapshot count other than n_steps (S - 1) raises ValueError.
     """
     states = traj.states()
     grid = states[0].domain
     h = cfg.h
+    per_step = max(cfg.interpolant_samples - 1, 0)
+    snaps = traj.interpolant_snapshots
+    if len(snaps) != traj.n_steps * per_step:
+        raise ValueError("%d interpolant snapshots for %d steps of %d samples"
+                         % (len(snaps), traj.n_steps, cfg.interpolant_samples))
     eps = mollification_width(grid)
     basis = default_tangential_fields(grid, count=6)
 
     records = []
-    E0 = None
     cum = 0.0
     zero_w = MeanZeroField(grid, np.zeros(grid.shape))
     for n, chi in enumerate(states):
@@ -177,22 +186,17 @@ def dissipation_ledger(traj, p, cfg):
             vel_sq = 0.0
             slope_sq = 0.0
             gap = 0.0
+            E0 = br.total
         else:
             prev = states[n - 1]
             w = potential_w(chi, prev, h)
             vel_sq = h1_norm_sq(w)
-            samples = [
-                (t - (n - 1) * h, field)
-                for t, field in traj.interpolant_snapshots
-                if (n - 1) * h < t < n * h
-            ]
+            samples = snaps[(n - 1) * per_step:n * per_step]
             slope_sq = _slope_from_samples(prev, samples, h, vel_sq)
             gap = traj.steps[n - 1].relaxation_gap
             cum += h * (0.5 * vel_sq + 0.5 * slope_sq)
         lam = lagrange_multiplier(chi, slc, w, xi, p)
         gt = gibbs_thomson_residual(chi, slc, w, lam, p, basis)
-        if E0 is None:
-            E0 = br.total
         records.append(StepRecord(
             n=n,
             t=n * h,
@@ -207,4 +211,4 @@ def dissipation_ledger(traj, p, cfg):
             dissipation_margin=E0 - (br.total + cum),
             mass=chi.integral(),
         ))
-    return Ledger(records=tuple(records), E0=E0)
+    return Ledger(records=tuple(records))

@@ -103,15 +103,13 @@ class GridDomain:
         return np.meshgrid(*axes, indexing="ij")
 
 
-def make_grid(d, dims, lengths):
-    if d not in (2, 3):
-        raise ValueError("unsupported dimension d=%r (only 2 and 3)" % (d,))
+def make_grid(dims, lengths):
     dims = tuple(int(n) for n in dims)
     lengths = tuple(float(L) for L in lengths)
-    if len(dims) != d or len(lengths) != d:
-        raise ValueError(
-            "expected %d entries, got dims=%r lengths=%r" % (d, dims, lengths)
-        )
+    if len(dims) not in (2, 3):
+        raise ValueError("unsupported dimension d=%d (only 2 and 3)" % len(dims))
+    if len(lengths) != len(dims):
+        raise ValueError("dims=%r and lengths=%r disagree" % (dims, lengths))
     for a, n in enumerate(dims):
         if n < 8:
             raise ValueError("axis %d has %d cells, need at least 8" % (a, n))
@@ -197,6 +195,13 @@ def cell_average(grid, sample):
     for shift in itertools.product(offs, repeat=grid.d):
         acc += sample(*[centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)])
     return acc / _SUBLATTICE ** grid.d
+
+
+def _top_cells(values, k):
+    """Indicator of the k cells of largest value, ties by raster index."""
+    out = np.zeros(values.size)
+    out[np.argsort(-values.ravel(), kind="stable")[:k]] = 1.0
+    return out.reshape(values.shape)
 
 
 def require_same_grid(a, b):
@@ -464,7 +469,7 @@ def grad_centered(values, grid):
     return [_centered(padded, a, grid) for a in range(grid.d)]
 
 
-def div_mirror(components, grid, tangential=False):
+def div_mirror(components, grid, tangential):
     """Direct centered divergence with reflected ghosts.
 
     With tangential=True the normal component uses the odd reflection, so a

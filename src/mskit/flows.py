@@ -60,7 +60,7 @@ class _InterpScratch:
         self.gather = np.empty(shape)
 
 
-def _interp_vector(components, grid, pts, scratch=None):
+def _interp_vector(components, grid, pts, scratch):
     """Multilinear interpolation of a vector field at points.
 
     pts is a list of per-axis coordinate arrays (any common shape). The
@@ -74,14 +74,11 @@ def _interp_vector(components, grid, pts, scratch=None):
     tangential, so its flow keeps the box, and an RK4 substep moves a
     point less than a tenth of a cell.
     The work arrays come from `scratch`, an `_InterpScratch` of the
-    points' shape (a new one when it is None); the returned components
-    are new arrays on every call.
+    points' shape; the returned components are new arrays on every call.
     """
     d = grid.d
     h = grid.spacing
     shape = np.shape(pts[0])
-    if scratch is None:
-        scratch = _InterpScratch(d, shape)
     t, base, i = scratch.t, scratch.base, scratch.index
     for b in range(d):
         n = grid.dims[b]

@@ -224,7 +224,7 @@ def read_ledger(path):
                 raise ValueError("ledger CSV line %d: column %s: %s"
                                  % (lineno, f.name.rstrip("_"), exc)) from None
         records.append(StepRecord(**row))
-    return Ledger(records=tuple(records), E0=records[0].E_total)
+    return Ledger(records=tuple(records))
 
 
 def render_snapshot(obj, path):

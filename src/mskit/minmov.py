@@ -23,11 +23,12 @@ interpolant that the dissipation ledger samples between consecutive states,
 so the tau = h sample, started from the same point, reproduces the step
 output bit for bit. run_trajectory iterates the steps and raises when a
 solve hits its iteration cap. Within one step it solves the sampled
-tau = h/S, ..., h in increasing order as a continuation: the first solve
-starts cold, and each later one, the step itself last, starts from the
-previous solve's final primal-dual pair and projection shift. The PD
-iteration converges from any starting pair (Chambolle & Pock 2011), so the
-warm start changes the cost of a solve, not the problem it solves.
+tau = h/S, ..., h in increasing order, keeping each interior sample as a
+(tau, field) snapshot. The solves run as a continuation: the first starts
+cold, and each later one, the step itself last, starts from the previous
+solve's final primal-dual pair and projection shift. The PD iteration
+converges from any starting pair (Chambolle & Pock 2011), so the warm
+start changes the cost of a solve, not the problem it solves.
 """
 
 from dataclasses import dataclass, field, replace
@@ -36,6 +37,7 @@ import numpy as np
 
 from .fields import (
     ScalarField,
+    _top_cells,
     grad_forward,
     grad_forward_adjoint,
     hminus_norm_sq,
@@ -313,23 +315,18 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
 
 
 def mass_threshold(u):
-    """Binary field matching the mass target by rank selection.
+    """Binary field matching the mass target: the k cells of largest value.
 
-    Cells are taken in decreasing value order; ties are broken by value
-    and then by lexicographic cell index, so the output is deterministic.
+    The cells are picked by `fields._top_cells`, ties by raster index, so
+    the output is deterministic.
     """
     grid = u.domain
     vals = u.values
     if float(vals.max() - vals.min()) <= 1e-12:
         raise ValueError("no interface to threshold")
     vol = grid.cell_volume
-    k = int(round(u.m0 / vol))
-    k = min(max(k, 0), vals.size)
-    flat = vals.ravel(order="C")
-    order = np.argsort(-flat, kind="stable")
-    out = np.zeros(flat.size)
-    out[order[:k]] = 1.0
-    return PhaseField(grid, out.reshape(grid.shape), m0=k * vol)
+    k = min(max(int(round(u.m0 / vol)), 0), vals.size)
+    return PhaseField(grid, _top_cells(vals, k), m0=k * vol)
 
 
 def movement_penalty(u, anchor, tau):
@@ -425,8 +422,9 @@ def run_trajectory(chi0, p, cfg, n_steps):
 
     With interpolant_samples = S the sampled penalty times are tau = j h/S
     for j = 1..S; the tau = h sample coincides with the step output and is
-    recorded there, so only the S-1 interior states are stored as
-    (time, field) snapshots. The solves of one step run in increasing tau,
+    recorded there, so only the S-1 interior states are stored, each as a
+    (tau, field) snapshot, step after step: step n's samples are the n-th
+    block of S-1. The solves of one step run in increasing tau,
     as a continuation: tau = h/S starts cold, and every later one, the step
     at tau = h last, starts from the end state of the one before. Stored
     snapshots keep their solver record without that end state.
@@ -461,8 +459,7 @@ def run_trajectory(chi0, p, cfg, n_steps):
         )
         repeats = (n_steps - n) if fixed else 1
         for _ in range(repeats):
-            for tau_j, snap in snaps:
-                traj.interpolant_snapshots.append((n * cfg.h + tau_j, snap))
+            traj.interpolant_snapshots.extend(snaps)
             traj.steps.append(res)
             n += 1
         chi = res.chi_next

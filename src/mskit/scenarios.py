@@ -1,12 +1,11 @@
-"""Scenarios: their specs, initial fields, runs and shape measurements.
+"""Scenarios: their specs, initial fields and shape measurements.
 
 Every kind but the stripe is a union of balls. Shapes are rasterized by
 `fields.cell_average` and thresholded to binary fields, so repeated
-construction is bit-identical. `run_scenario` returns a scenario's
-trajectory with its dissipation ledger, and the measurement helpers read a
-run's states: how far cells moved from the initial interface, and the mass
-of the smaller of two components. The verdicts built on them live in
-`checks`.
+construction is bit-identical. The measurement helpers read a run's
+states: how far cells moved from the initial interface, and the mass of
+the smaller of two components. The runs and the verdicts built on them
+live in `checks`.
 
 Both measurements are exact rules on integer cell indices. Components are
 face-connected and numbered in raster order of their first cell, as
@@ -19,12 +18,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .diagnostics import dissipation_ledger
 from .energy import EnergyParams, PhaseField
-from .fields import cell_average, make_grid
-from .minmov import StepConfig, run_trajectory
-
-KINDS = ("ball", "two_balls", "stripe", "boundary_cap", "random_blobs")
+from .fields import _top_cells, cell_average, make_grid
+from .minmov import StepConfig
 
 # the geometry fields each kind reads; a spec that sets any other one away
 # from its default is refused, so a misplaced key cannot be silently ignored
@@ -35,6 +31,7 @@ _READS = {
     "boundary_cap": ("centers", "radii", "angle"),
     "random_blobs": ("seed", "blob_count", "blob_radius_range"),
 }
+KINDS = tuple(_READS)
 _GEOMETRY = frozenset(name for names in _READS.values() for name in names)
 
 
@@ -84,6 +81,8 @@ class ScenarioSpec:
             raise ValueError("stripe needs x_cut")
         if self.kind == "boundary_cap" and (self.angle is None or not self.radii):
             raise ValueError("boundary_cap needs angle and radius")
+        if self.kind == "boundary_cap" and not (0.0 < self.angle <= np.pi / 2):
+            raise ValueError("cap angle outside (0, pi/2]")
         if self.kind == "random_blobs" and self.seed is None:
             raise ValueError("random_blobs needs a seed")
 
@@ -118,22 +117,23 @@ def _balls(spec, clear):
     """Checked (center, radius) list of a kind whose phase is a union of balls.
 
     The cap is the ball of radius R centred R cos(angle) below the bottom
-    wall, so it meets the wall at interior angle `angle`. Its centre has two
-    coordinates, which makes the 3-D cap a cylinder along the third axis.
+    wall, so it meets the wall at interior angle `angle`. In 3-D its centre
+    sits mid-box along the third axis, which makes it a spherical cap.
     """
     if spec.kind == "random_blobs":
         return _blob_layout(spec)
     if spec.kind == "boundary_cap":
         R, angle = spec.radii[0], spec.angle
-        if not (0.0 < angle <= np.pi / 2):
-            raise ValueError("cap angle outside (0, pi/2]")
         xc = spec.centers[0][0] if spec.centers else 0.5 * spec.lengths[0]
+        centre = (xc, -R * np.cos(angle)) + tuple(0.5 * L for L in spec.lengths[2:])
         half_w = R * np.sin(angle)
-        # the cap spans 2 R sin(angle) of the wall and rises R (1 - cos(angle))
-        if (xc - half_w < clear or xc + half_w > spec.lengths[0] - clear
-                or R * (1.0 - np.cos(angle)) + clear > spec.lengths[1]):
+        # the cap rises R (1 - cos(angle)) and spans 2 R sin(angle) of the
+        # wall along every axis but y
+        if R * (1.0 - np.cos(angle)) + clear > spec.lengths[1] or any(
+                c - half_w < clear or c + half_w > L - clear
+                for a, (c, L) in enumerate(zip(centre, spec.lengths)) if a != 1):
             raise ValueError("shape out of bounds: boundary_cap")
-        return [((xc, -R * np.cos(angle)), R)]
+        return [(centre, R)]
     balls = list(zip(spec.centers, spec.radii))
     for c, R in balls:
         for a, L in enumerate(spec.lengths):
@@ -148,7 +148,7 @@ def _balls(spec, clear):
 
 def make_initial(spec):
     """Binary phase field for the scenario's analytic geometry."""
-    grid = make_grid(len(spec.dims), spec.dims, spec.lengths)
+    grid = make_grid(spec.dims, spec.lengths)
     clear = 2.0 * max(grid.spacing)
 
     if spec.kind == "stripe":
@@ -173,10 +173,7 @@ def make_initial(spec):
     k = int(round(float(frac.sum())))
     if not (0 < k < frac.size):
         raise ValueError("shape out of bounds: empty or full phase")
-    flat = np.zeros(frac.size)
-    order = np.argsort(-frac.ravel(), kind="stable")
-    flat[order[:k]] = 1.0
-    return PhaseField(grid, flat.reshape(grid.shape))
+    return PhaseField(grid, _top_cells(frac, k))
 
 
 def _edge(inside):
@@ -272,13 +269,6 @@ def component_masses(states):
         mask = lab == best
         masses.append(float(mask.sum()) * vol)
     return masses
-
-
-def run_scenario(spec):
-    chi0 = make_initial(spec)
-    traj = run_trajectory(chi0, spec.params, spec.step, spec.n_steps)
-    ledger = dissipation_ledger(traj, spec.params, spec.step)
-    return traj, ledger
 
 
 def default_scenarios(n=128):

@@ -17,6 +17,9 @@ A second scan stands in for a linter's unused-import rule: every name a
 `src/mskit` module imports must be read in that module, unless
 `ALLOWED_UNREAD_IMPORTS` names it with the reason it stays.
 
+A third scan holds the modules to one import order, `LAYERS`: a module
+imports only siblings of a lower layer.
+
 Last, a fresh interpreter imports the command line and every module of the
 package and must load no scipy module: the program runs on numpy alone,
 and scipy, whose `ndimage` import once cost most of a cold start, is a
@@ -56,6 +59,13 @@ ALLOWED_UNREAD_IMPORTS = {
         "perfbench/tracing.py wraps `mskit.flows.interface_measure`, and "
         "perfbench/test_perfbench.py looks the binding up there"
     ),
+}
+
+# Layer of each `src/mskit` module: fields < energy < {diagnostics,
+# minmov} < {flows, scenarios} < io < checks < cli.
+LAYERS = {
+    "fields": 0, "energy": 1, "diagnostics": 2, "minmov": 2,
+    "flows": 3, "scenarios": 3, "io": 4, "checks": 5, "cli": 6,
 }
 
 BUILTIN_ATTRIBUTES = (
@@ -228,6 +238,44 @@ def test_allowed_unread_imports_are_current():
     unread = unread_imports()
     for name in ALLOWED_UNREAD_IMPORTS:
         assert name in unread, "%s is read or gone now; drop it from the list" % name
+
+
+def sibling_imports(path):
+    """The `mskit` modules that one module of the package imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "mskit":
+                    continue
+                module = module[len("mskit"):].lstrip(".")
+            if module:  # from .a import x, from mskit.a import x
+                found.add(module.split(".")[0])
+            else:  # from . import a, from mskit import a
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("mskit."))
+    return found
+
+
+def layer_violations():
+    """module -> sibling for each import of a sibling not in a lower layer."""
+    return sorted(
+        "%s -> %s" % (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sibling_imports(path)
+        if LAYERS.get(name, len(LAYERS)) >= LAYERS.get(path.stem, -1)
+    )
+
+
+def test_imports_follow_the_layer_order():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS), "modules without a layer: %s" % (
+        sorted(modules ^ set(LAYERS)))
+    flagged = layer_violations()
+    assert not flagged, "imports against the layer order: %s" % flagged
 
 
 def test_package_imports_without_scipy():

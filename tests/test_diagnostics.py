@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mskit.checks import MARGIN_FLOOR_FRACTION
+from mskit.checks import MARGIN_FLOOR_FRACTION, _run
 from mskit.diagnostics import (
     Ledger,
     StepRecord,
@@ -28,7 +28,7 @@ from mskit.fields import (
     make_grid,
 )
 from mskit.minmov import StepConfig, run_trajectory
-from mskit.scenarios import ScenarioSpec, default_scenarios, run_scenario
+from mskit.scenarios import ScenarioSpec, default_scenarios
 
 import shapes
 
@@ -36,7 +36,7 @@ P90 = EnergyParams(1.0, np.pi / 2)
 
 
 def grid2(n=64):
-    return make_grid(2, (n, n), (1.0, 1.0))
+    return make_grid((n, n), (1.0, 1.0))
 
 
 def two_balls(grid, c1=(0.30, 0.50), r1=0.18, c2=(0.72, 0.50), r2=0.10):
@@ -264,11 +264,7 @@ class TestLedgerTypes:
     def test_unordered_times_rejected(self):
         rows = (self.row(t=1.0), self.row(n=1, t=0.5))
         with pytest.raises(ValueError, match="time-ordered"):
-            Ledger(records=rows, E0=1.0)
-
-    def test_e0_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="E0"):
-            Ledger(records=(self.row(),), E0=2.0)
+            Ledger(records=rows)
 
 
 class TestDissipationLedger:
@@ -295,6 +291,23 @@ class TestDissipationLedger:
             assert r.dissipation_margin == 0.0
             assert r.vel_sq == 0.0
             assert r.slope_sq == 0.0
+
+    def test_replicated_steps_book_equal_rows(self):
+        # the shipped 32^2 ball keeps its anchor, so its three steps replay
+        # one fixed point and every step row must book the same numbers
+        ball = next(s for s in default_scenarios(32) if s.kind == "ball")
+        _traj, led = _run(replace(ball, n_steps=3))
+        rows = [(r.slope_sq, r.vel_sq) for r in led.records[1:]]
+        assert rows == [rows[0]] * 3
+
+    def test_snapshot_count_must_match_samples(self):
+        g = grid2(32)
+        chi = shapes.binary_disk(g, (0.5, 0.5), 0.3)
+        cfg = StepConfig(h=1e-6, interpolant_samples=4)
+        traj = run_trajectory(chi, P90, cfg, 2)
+        with pytest.raises(ValueError, match="6 interpolant snapshots for 2 "
+                                             "steps of 3 samples"):
+            dissipation_ledger(traj, P90, replace(cfg, interpolant_samples=3))
 
     def test_coarsening_ledger_certifies_dissipation(self, annihilation48):
         traj, cfg = annihilation48
@@ -338,7 +351,7 @@ class TestDissipationLedger:
             centers=((0.30 + dx, 0.50), (0.72 + dx, 0.50)),
             radii=(0.18, 0.10),
         )
-        _traj, led = run_scenario(spec)
+        _traj, led = _run(spec)
         worst = min(r.dissipation_margin for r in led.records)
         assert worst >= -MARGIN_FLOOR_FRACTION * led.E0
 
@@ -351,6 +364,6 @@ class TestDissipationLedger:
     ))
     def test_shipped_ball_32_margin_above_floor(self):
         ball = next(s for s in default_scenarios(32) if s.kind == "ball")
-        _traj, led = run_scenario(replace(ball, n_steps=2))
+        _traj, led = _run(replace(ball, n_steps=2))
         worst = min(r.dissipation_margin for r in led.records)
         assert worst >= -MARGIN_FLOOR_FRACTION * led.E0

@@ -28,7 +28,7 @@ P90 = EnergyParams(1.0, np.pi / 2)
 
 
 def grid2(n=64):
-    return make_grid(2, (n, n), (1.0, 1.0))
+    return make_grid((n, n), (1.0, 1.0))
 
 
 def wall_trace(chi):

@@ -69,7 +69,7 @@ STRIPE_PAIRING_NORM = 0.19984396
 
 
 def grid2(n=64):
-    return make_grid(2, (n, n), (1.0, 1.0))
+    return make_grid((n, n), (1.0, 1.0))
 
 
 def zero_field(grid):
@@ -85,7 +85,7 @@ def negate(B):
 
 
 def apply_map(disp, grid, pts):
-    off = _interp_vector(disp, grid, pts)
+    off = _interp_vector(disp, grid, pts, _InterpScratch(grid.d, np.shape(pts[0])))
     return [p + o for p, o in zip(pts, off)]
 
 
@@ -106,13 +106,14 @@ def backward_pullback_reference(chi, B, s):
     centers = np.meshgrid(*axes, indexing="ij")
     offs = (np.arange(_SUBLATTICE) + 0.5) / _SUBLATTICE - 0.5
     acc = np.zeros(grid.shape)
+    sc = _InterpScratch(grid.d, grid.shape)
     for shift in itertools.product(offs, repeat=grid.d):
         X = [c + o * h for c, o, h in zip(centers, shift, grid.spacing)]
         for _ in range(n_sub):
-            k1 = _interp_vector(comps, grid, X)
-            k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)])
-            k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)])
-            k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)])
+            k1 = _interp_vector(comps, grid, X, sc)
+            k2 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k1)], sc)
+            k3 = _interp_vector(comps, grid, [x + 0.5 * dt * k for x, k in zip(X, k2)], sc)
+            k4 = _interp_vector(comps, grid, [x + dt * k for x, k in zip(X, k3)], sc)
             X = [x + dt / 6.0 * (a + 2 * b + 2 * c + e)
                  for x, a, b, c, e in zip(X, k1, k2, k3, k4)]
         idx = tuple(
@@ -219,7 +220,7 @@ class TestInterpolation:
     @given(interpolation_cases())
     def test_bit_identical_to_per_component_reference(self, case):
         d, dims, lengths, reach, seed = case
-        grid = make_grid(d, dims, lengths)
+        grid = make_grid(dims, lengths)
         rng = np.random.default_rng(seed)
         comps = [rng.standard_normal(dims) for _ in range(d)]
         pts = []
@@ -228,15 +229,15 @@ class TestInterpolation:
             x[:4] = (0.0, L, 0.0, L)  # on the faces
             pts.append(rng.permutation(x).reshape(6, 8))
         padded = _ghost_pad(comps, tangential=True)
-        out = _interp_vector(padded, grid, pts)
+        scratch = _InterpScratch(d, pts[0].shape)
+        out = _interp_vector(padded, grid, pts, scratch)
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert out[a].shape == ref.shape
             assert np.array_equal(out[a], ref)
 
-        # the buffered path: consecutive calls at different points through
-        # one scratch, each result its own array
-        scratch = _InterpScratch(d, pts[0].shape)
+        # consecutive calls at different points through one scratch, each
+        # result its own array
         results = []
         for pts_k in (pts, [p[::-1] * 0.5 for p in pts], pts):
             out = _interp_vector(padded, grid, pts_k, scratch)
@@ -259,7 +260,8 @@ class TestInterpolation:
             return stages[-1]
 
         def unbuffered(components, grid_, pts_, scratch_):
-            fresh.append(interp(components, grid_, pts_))
+            own = _InterpScratch(grid_.d, np.shape(pts_[0]))
+            fresh.append(interp(components, grid_, pts_, own))
             return fresh[-1]
 
         try:
@@ -288,38 +290,41 @@ class TestInterpolation:
         rng = np.random.default_rng(seed)
         dims = tuple(int(n) for n in rng.integers(8, 14, d))
         lengths = tuple(float(L) for L in rng.choice((0.5, 1.0, 1.7), d))
-        grid = make_grid(d, dims, lengths)
+        grid = make_grid(dims, lengths)
         comps = [rng.standard_normal(dims) for _ in range(d)]
         pts = []
         for L, h in zip(lengths, grid.spacing):
             x = rng.uniform(-cells * h, L + cells * h, 48)
             x[:4] = (0.0, L, -cells * h, L + (cells - 1e-9) * h)
             pts.append(rng.permutation(x).reshape(6, 8))
-        out = _interp_vector(_ghost_pad(comps, tangential=True), grid, pts)
+        out = _interp_vector(_ghost_pad(comps, tangential=True), grid, pts,
+                             _InterpScratch(d, pts[0].shape))
         for a in range(d):
             ref = _interp_component_reference(comps[a], grid, pts, a)
             assert np.array_equal(out[a], ref)
 
     def test_empty_points(self):
-        g = make_grid(2, (8, 8), (1.0, 1.0))
+        g = make_grid((8, 8), (1.0, 1.0))
         comps = _ghost_pad([np.ones(g.dims), np.ones(g.dims)], tangential=True)
-        out = _interp_vector(comps, g, [np.zeros(0), np.zeros(0)])
+        out = _interp_vector(comps, g, [np.zeros(0), np.zeros(0)],
+                             _InterpScratch(2, (0,)))
         assert [o.shape for o in out] == [(0,), (0,)]
 
     def test_reach_is_half_a_cell(self):
-        g = make_grid(2, (8, 8), (1.0, 1.0))
+        g = make_grid((8, 8), (1.0, 1.0))
         rng = np.random.default_rng(3)
         comps = [rng.standard_normal(g.dims) for _ in range(2)]
         padded = _ghost_pad(comps, tangential=True)
         h = g.spacing[0]
         y = np.array([3.5 * h])
+        scratch = _InterpScratch(2, (1,))
         # half a cell below x = 0 is the ghost cell centre: the normal
         # component reflects oddly, the tangential one evenly
-        out = _interp_vector(padded, g, [np.array([-0.5 * h]), y])
+        out = _interp_vector(padded, g, [np.array([-0.5 * h]), y], scratch)
         assert out[0][0] == -comps[0][0, 3]
         assert out[1][0] == comps[1][0, 3]
         with pytest.raises(ValueError, match="outside the box on axis 0"):
-            _interp_vector(padded, g, [np.array([-(0.5 + 1e-9) * h]), y])
+            _interp_vector(padded, g, [np.array([-(0.5 + 1e-9) * h]), y], scratch)
 
 
 class TestSolverFailures:

@@ -168,7 +168,7 @@ def decode_field(path):
 
 class TestFieldDump:
     def test_round_trip_bits(self, tmp_path):
-        grid = make_grid(2, (17, 9), (1.0, 0.5))
+        grid = make_grid((17, 9), (1.0, 0.5))
         rng = np.random.default_rng(3)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
         path = str(tmp_path / "f.msfld")
@@ -180,7 +180,7 @@ class TestFieldDump:
         assert np.array_equal(values, f.values)
 
     def test_round_trip_3d(self, tmp_path):
-        grid = make_grid(3, (10, 9, 8), (1.0, 1.0, 2.0))
+        grid = make_grid((10, 9, 8), (1.0, 1.0, 2.0))
         f = ScalarField(grid, np.arange(720, dtype=float).reshape(grid.shape))
         path = str(tmp_path / "f3.msfld")
         dump_field(f, path)
@@ -192,14 +192,14 @@ class TestFieldDump:
 class TestLedgerCSV:
     def test_header_exact(self, tmp_path):
         path = str(tmp_path / "l.csv")
-        write_ledger(Ledger(records=(simple_record(),), E0=1.0), path)
+        write_ledger(Ledger(records=(simple_record(),)), path)
         lines = open(path).read().splitlines()
         assert lines[0] == LEDGER_HEADER
         assert len(lines) == 2
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            write_ledger(Ledger(records=(), E0=0.0), str(tmp_path / "e.csv"))
+            write_ledger(Ledger(records=()), str(tmp_path / "e.csv"))
 
     def test_numeric_round_trip(self, tmp_path):
         r0 = simple_record()
@@ -211,7 +211,7 @@ class TestLedgerCSV:
             mass=0.19634954084936207,
         )
         path = str(tmp_path / "r.csv")
-        write_ledger(Ledger(records=(r0, r1), E0=r0.E_total), path)
+        write_ledger(Ledger(records=(r0, r1)), path)
         back = read_ledger(path)
         for orig, rt in zip((r0, r1), back.records):
             for name in StepRecord.__dataclass_fields__:
@@ -233,7 +233,7 @@ class TestLedgerCSV:
 
 class TestRender:
     def test_zero_field_black(self, tmp_path):
-        grid = make_grid(2, (16, 16), (1.0, 1.0))
+        grid = make_grid((16, 16), (1.0, 1.0))
         chi = PhaseField(grid, np.zeros(grid.shape))
         path = str(tmp_path / "z.pgm")
         render_snapshot(chi, path)
@@ -242,7 +242,7 @@ class TestRender:
         assert set(data[len(b"P5\n16 16\n255\n"):]) == {0}
 
     def test_stripe_levels(self, tmp_path):
-        grid = make_grid(2, (16, 16), (1.0, 1.0))
+        grid = make_grid((16, 16), (1.0, 1.0))
         xs, _ = grid.meshes()
         chi = PhaseField(grid, (xs < 0.5).astype(float))
         path = str(tmp_path / "s.pgm")
@@ -255,7 +255,7 @@ class TestRender:
         assert counts == {0: 128, 255: 128}
 
     def test_3d_mid_plane(self, tmp_path):
-        grid = make_grid(3, (8, 8, 8), (1.0, 1.0, 1.0))
+        grid = make_grid((8, 8, 8), (1.0, 1.0, 1.0))
         f = PhaseField(grid, np.ones(grid.shape))
         path = str(tmp_path / "p.pgm")
         render_snapshot(f, path)
@@ -352,6 +352,13 @@ class TestCLI:
         bad.write_text("scenario.kind = ball\nscenario.x_cut = 0.4\n")
         assert main(["info", "--config", str(bad)]) == 2
         assert "ball does not read x_cut" in capsys.readouterr().err
+
+    def test_cap_angle_exit_code(self, tmp_path, capsys):
+        # the spec refuses the angle, so `info` fails as `run` does
+        bad = tmp_path / "cap.cfg"
+        bad.write_text("scenario.kind = boundary_cap\nscenario.angle = 2.0\n")
+        assert main(["info", "--config", str(bad)]) == 2
+        assert "error: cap angle outside (0, pi/2]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", sorted(CHECKS))
     def test_check_suite_passes(self, suite_records, suite):

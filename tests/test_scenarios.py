@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dataclasses import replace
 
 from mskit import scenarios
+from mskit.checks import _run
 from mskit.energy import EnergyParams, PhaseField
 from mskit.fields import make_grid
 from mskit.minmov import StepConfig
@@ -21,7 +22,6 @@ from mskit.scenarios import (
     default_scenarios,
     interface_displacement_cells,
     make_initial,
-    run_scenario,
 )
 
 from oracles import supersampled
@@ -226,6 +226,25 @@ class TestMakeInitial:
         with pytest.raises(ValueError, match="out of bounds: boundary_cap"):
             make_initial(spec)
 
+    def test_cap_3d_is_spherical(self):
+        # centred mid-box along z, the cap wets a disc of the bottom wall,
+        # not a band from one z wall to the other. Its covered fractions
+        # are mirror-symmetric in z, but the mass threshold breaks ties by
+        # raster index, and here it cuts through a tie of mirrored cells:
+        # (10, 2, 10) is taken and (10, 2, 13) is not
+        spec = replace(spec_cap(), dims=(24, 24, 24), lengths=(1.0, 1.0, 1.0))
+        chi = make_initial(spec).values
+        assert np.count_nonzero(chi != chi[:, :, ::-1]) <= 2
+        h = 1.0 / 24
+        z = (np.nonzero(chi[:, 0, :])[1] + 0.5) * h  # wetted cells of y = 0
+        assert z.size
+        assert np.max(np.abs(z - 0.5)) <= 0.25 * np.sin(np.pi / 3) + h
+
+    def test_cap_3d_too_wide_along_z(self):
+        spec = replace(spec_cap(), dims=(64, 16, 16), lengths=(2.0, 1.0, 0.5))
+        with pytest.raises(ValueError, match="out of bounds: boundary_cap"):
+            make_initial(replace(spec, centers=((1.0, 0.0),)))
+
     def test_blobs_unplaceable(self):
         spec = ScenarioSpec(
             name="x", kind="random_blobs", dims=(64, 64), lengths=(1.0, 1.0),
@@ -271,7 +290,7 @@ def random_phases(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     dims = tuple(int(n) for n in rng.integers(8, 41 if d == 2 else 21, d))
-    grid = make_grid(d, dims, (1.0,) * d)
+    grid = make_grid(dims, (1.0,) * d)
     if draw(st.booleans()):
         values = rng.random(dims) < draw(st.floats(0.05, 0.9))
     else:
@@ -300,7 +319,7 @@ class TestGeometryHelpers:
         # with no interface there is nothing to measure from: scipy's
         # distance transform, given no zero, measured from a point off the
         # grid (10.63 cells on this 8^2 grid)
-        grid = make_grid(2, (8, 8), (1.0, 1.0))
+        grid = make_grid((8, 8), (1.0, 1.0))
         empty = PhaseField(grid, np.zeros(grid.dims))
         diagonal = PhaseField(grid, np.eye(8))
         with pytest.raises(ValueError, match="empty initial phase"):
@@ -334,7 +353,7 @@ class TestGeometryHelpers:
             component_masses([chi])
 
     def test_component_masses_track_shrinkage(self):
-        grid = make_grid(2, (64, 64), (1.0, 1.0))
+        grid = make_grid((64, 64), (1.0, 1.0))
         xs, ys = grid.meshes()
 
         def pair(r_small):
@@ -349,7 +368,7 @@ class TestGeometryHelpers:
         assert masses[-1] == 0.0
 
     def test_extinction_truncates(self):
-        grid = make_grid(2, (64, 64), (1.0, 1.0))
+        grid = make_grid((64, 64), (1.0, 1.0))
         xs, ys = grid.meshes()
         big = (xs - 0.3) ** 2 + (ys - 0.5) ** 2 <= 0.18 ** 2
         small = (xs - 0.72) ** 2 + (ys - 0.5) ** 2 <= 0.1 ** 2
@@ -460,7 +479,7 @@ class TestConsistencySuite:
 
 class TestRunScenario:
     def test_zero_steps(self):
-        traj, ledger = run_scenario(spec_ball(48, n_steps=0))
+        traj, ledger = _run(spec_ball(48, n_steps=0))
         assert traj.n_steps == 0
         assert len(ledger.records) == 1
         assert ledger.records[0].dissipation_margin == 0.0

@@ -1,7 +1,7 @@
 """Interface-measure energy along the recorded states of a trajectory.
 
 Each step is represented by its last partial-step sample when the run
-stored any for that window, else by the step output at the step end; each
+stored any for that step, else by the step output at the step end; each
 state is sliced at a fixed physical mollification width.
 """
 
@@ -50,20 +50,27 @@ def two_balls_spec(n=48, h=5e-4, samples=4, n_steps=2):
     )
 
 
-def recorded_states(traj, h):
-    """(time, state) pairs: the start, then one entry per step of length h."""
+def recorded_states(traj, cfg):
+    """(time, state) pairs: the start, then one entry per step of length h.
+
+    Step n's snapshots are the n-th block of S - 1 (tau, field) pairs; its
+    entry is the last of them, at time (n - 1) h + tau.
+    """
+    h, per_step = cfg.h, max(cfg.interpolant_samples - 1, 0)
     out = [(0.0, traj.chi0)]
-    snaps = sorted(traj.interpolant_snapshots, key=lambda ts: ts[0])
     for n, step in enumerate(traj.steps, start=1):
-        in_window = [(t, s) for (t, s) in snaps if (n - 1) * h < t < n * h]
-        out.append(in_window[-1] if in_window else (n * h, step.chi_next))
+        if per_step:
+            tau, snap = traj.interpolant_snapshots[n * per_step - 1]
+            out.append(((n - 1) * h + tau, snap))
+        else:
+            out.append((n * h, step.chi_next))
     return out
 
 
-def slice_series(traj, p, h):
+def slice_series(traj, p, cfg):
     """Recorded times, interface slices and slice energies of a run."""
     times, slices, totals = [], [], []
-    for t, state in recorded_states(traj, h):
+    for t, state in recorded_states(traj, cfg):
         slc = interface_measure(state, EPS_PHYS)
         times.append(t)
         slices.append(slc)
@@ -82,7 +89,7 @@ def still_traj():
 @pytest.fixture(scope="module")
 def still_series(still_traj):
     spec, traj = still_traj
-    return slice_series(traj, spec.params, spec.step.h)
+    return slice_series(traj, spec.params, spec.step)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +105,7 @@ class TestBuildTrack:
         chi0 = make_initial(spec)
         traj = run_trajectory(chi0, spec.params, spec.step, 0)
         assert traj.steps == [] and traj.interpolant_snapshots == []
-        times, _slices, _totals = slice_series(traj, spec.params, spec.step.h)
+        times, _slices, _totals = slice_series(traj, spec.params, spec.step)
         assert times == (0.0,)
 
     def test_one_slice_per_step(self, still_traj, still_series):
@@ -118,19 +125,19 @@ class TestBuildTrack:
         # mass by up to 4/pi; the ratio must sit in that band
         spec, traj = still_traj
         _times, _slices, totals = still_series
-        for (t, state), tot in zip(recorded_states(traj, spec.step.h), totals):
+        for (t, state), tot in zip(recorded_states(traj, spec.step), totals):
             direct = energy(state, spec.params).total
             assert 0.75 * direct <= tot <= 1.02 * direct
 
     def test_compatibility_on_every_slice(self, still_traj, still_series):
         spec, traj = still_traj
         _times, slices, _totals = still_series
-        for (t, state), slc in zip(recorded_states(traj, spec.step.h), slices):
+        for (t, state), slc in zip(recorded_states(traj, spec.step), slices):
             assert compatibility_check(state, slc, spec.params).ok
 
     def test_interpolant_samples_recorded_in_place(self, ostwald_traj):
         spec, traj = ostwald_traj
-        states = recorded_states(traj, spec.step.h)
+        states = recorded_states(traj, spec.step)
         h = spec.step.h
         S = spec.step.interpolant_samples
         # with interior snapshots stored, each step is represented by its
@@ -140,7 +147,7 @@ class TestBuildTrack:
 
     def test_ostwald_energy_nonincreasing(self, ostwald_traj):
         spec, traj = ostwald_traj
-        _times, _slices, tot = slice_series(traj, spec.params, spec.step.h)
+        _times, _slices, tot = slice_series(traj, spec.params, spec.step)
         slack = 1e-6 * (1.0 + abs(tot[0]))
         assert all(b <= a + slack for a, b in zip(tot, tot[1:]))
         assert tot[-1] < tot[0]
