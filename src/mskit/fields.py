@@ -10,14 +10,15 @@ between source and potential exact up to roundoff, which the verification
 layers rely on.
 
 The cosine transform is a dense matrix product per axis, with one cached
-orthonormal DCT-II matrix for each axis of a grid. That is O(n) work per
-value and axis against an FFT's O(log n), paid in one BLAS call per axis
-instead of an FFT's per-call set-up. On one core a Poisson apply (transform
-and inverse) takes 0.4 to 0.6 times scipy.fft's time at 32^2 and 64^2 and
-0.3 times at 16^3 and 32^3; it stops paying above that, at 1.3 times
-scipy.fft's time at 128^2 and 2.5 times at 256^2. The shipped scenarios,
-checks and benchmark solve on 128^2 at most, where the cheaper stencils
-and projection of an iteration make up the difference.
+orthonormal DCT-II matrix and its contiguous transpose for each axis of a
+grid. That is O(n) work per value and axis against an FFT's O(log n), paid
+in one BLAS call per axis instead of an FFT's per-call set-up. On one core
+a Poisson apply (transform and inverse) takes 0.45 and 0.58 times
+scipy.fft's time at 32^2 and 64^2 and 0.28 and 0.38 times at 16^3 and
+32^3; it stops paying above that, at 1.35 times scipy.fft's time at 128^2
+and 2.6 times at 256^2. The shipped scenarios, checks and benchmark solve
+on 128^2 at most, where the cheaper stencils and projection of an
+iteration make up the difference.
 
 Real-space difference operators (forward with its exact adjoint, and
 centered with reflected ghosts) are kept separate from the spectral
@@ -265,12 +266,15 @@ def _neumann_symbol(grid):
 
 @lru_cache(maxsize=32)
 def _cosine_plan(grid):
-    """Per axis: the orthonormal DCT-II matrix and the (rows, n, columns) view.
+    """Per axis: the orthonormal DCT-II matrix C, its transpose as a
+    contiguous copy, and the (rows, n, columns) view of the axis.
 
-    Row k of an axis matrix samples sqrt(2/n) cos(pi k (i + 1/2) / n) at the
-    cell index i (row 0 is the constant sqrt(1/n)); the phase k (2i + 1) is
-    reduced modulo 4n in integers first, so every cosine argument stays in
-    [0, 2 pi) and the entries are accurate to rounding at any n.
+    Row k of C samples sqrt(2/n) cos(pi k (i + 1/2) / n) at the cell index i
+    (row 0 is the constant sqrt(1/n)); the phase k (2i + 1) is reduced
+    modulo 4n in integers first, so every cosine argument stays in
+    [0, 2 pi) and the entries are accurate to rounding at any n. Keeping
+    both C and its transpose contiguous means no product multiplies a
+    transposed view, which BLAS runs about 1.5 times slower at 64^2.
     """
     plan = []
     for a, n in enumerate(grid.dims):
@@ -279,46 +283,69 @@ def _cosine_plan(grid):
         mat = np.cos(np.pi * ((k * (2 * i + 1)) % (4 * n)) / (2.0 * n))
         mat *= np.sqrt(2.0 / n)
         mat[0] = np.sqrt(1.0 / n)
+        mat_t = np.ascontiguousarray(mat.T)
         mat.flags.writeable = False
-        plan.append((mat, (-1, n, int(np.prod(grid.dims[a + 1:])))))
+        mat_t.flags.writeable = False
+        plan.append((mat, mat_t, (-1, n, int(np.prod(grid.dims[a + 1:])))))
     return tuple(plan)
 
 
-def _cosine(values, grid, inverse=False):
+def _cosine(values, grid, inverse=False, out=None):
     """Orthonormal DCT-II coefficients of `values`, or its inverse.
 
     One matrix product per axis: the last axis multiplies the rows of a
     (cells, n) view from the right, every other axis is a batched product
     over contiguous (n, columns) blocks. In 2-D that is C0 @ v @ C1.T
-    forward and C0.T @ c @ C1 back.
+    forward and C0.T @ c @ C1 back. The last product writes into `out`, a
+    C-contiguous array of the grid shape, when one is given.
     """
-    out = values
+    res = values
     last = grid.d - 1
-    for a, (mat, blocks) in enumerate(_cosine_plan(grid)):
-        if inverse:
-            mat = mat.T
+    for a, (mat, mat_t, blocks) in enumerate(_cosine_plan(grid)):
+        left, right = (mat_t, mat) if inverse else (mat, mat_t)
         if a == last:
-            out = out.reshape(blocks[:2]) @ mat.T
+            dest = None if out is None else out.reshape(blocks[:2])
+            res = np.matmul(res.reshape(blocks[:2]), right, out=dest)
         else:
-            out = np.matmul(mat, out.reshape(blocks))
-    return out.reshape(grid.shape)
+            res = np.matmul(left, res.reshape(blocks))
+    return res.reshape(grid.shape)
 
 
 @lru_cache(maxsize=32)
-def _poisson_divisor(grid):
-    """The Neumann symbol with its zero mode (the only zero) set to 1."""
-    div = _neumann_symbol(grid).copy()
-    div[(0,) * grid.d] = 1.0
-    div.flags.writeable = False
-    return div
+def _inverse_symbol(grid):
+    """1 / the Neumann symbol, with 0 on its zero mode (the only zero)."""
+    sym = _neumann_symbol(grid)
+    inv = np.zeros(grid.shape)
+    np.divide(1.0, sym, out=inv, where=sym != 0.0)
+    inv.flags.writeable = False
+    return inv
 
 
-def poisson_apply_raw(values, grid):
-    """Array-level inverse Laplacian (zero-flux walls, zero mode dropped)."""
+def _out_buffer(out, shape):
+    """`out` if it can take a result of this shape in place, else a new array.
+
+    The kernels write through raveled and reshaped views of `out`, which
+    are views only for a C-contiguous array; any other buffer is refused
+    rather than written through a copy.
+    """
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of shape %r" % (shape,))
+    return out
+
+
+def poisson_apply_raw(values, grid, out=None):
+    """Array-level inverse Laplacian (zero-flux walls, zero mode dropped).
+
+    The division by the symbol is one multiply by its cached inverse, whose
+    zero mode is 0. The result is written into `out` when one is given.
+    """
+    out = _out_buffer(out, grid.shape)
     coeffs = _cosine(values, grid)
-    coeffs /= _poisson_divisor(grid)
-    coeffs[(0,) * grid.d] = 0.0
-    return _cosine(coeffs, grid, inverse=True)
+    coeffs *= _inverse_symbol(grid)
+    _cosine(coeffs, grid, inverse=True, out=out)
+    return out
 
 
 def neumann_solve(F):
@@ -368,12 +395,11 @@ def hminus_norm_sq(F):
 
 @lru_cache(maxsize=32)
 def _stencil_plan(grid):
-    """Per axis, the spacing and index tuples of the forward stencil and its
-    adjoint, built once per grid.
+    """Per axis, the spacing, the flat stride and the index tuples of the
+    first, second-last and last slices, built once per grid.
 
-    Forward entries are (h, head, tail, last) and adjoint entries
-    (h, first, lower, inner, last, second_last): the slices 0..n-2, 1..n-1,
-    n-1, 0, 0..n-3, 1..n-2 and n-2 along the axis, whole along the others.
+    The stride is the distance in a raveled C-ordered array between a cell
+    and its successor along the axis.
     """
 
     def sl(axis, lo, hi):
@@ -381,52 +407,70 @@ def _stencil_plan(grid):
         s[axis] = slice(lo, hi)
         return tuple(s)
 
-    forward, adjoint = [], []
-    for a, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
-        forward.append((h, sl(a, 0, n - 1), sl(a, 1, n), sl(a, n - 1, n)))
-        adjoint.append((h, sl(a, 0, 1), sl(a, 0, n - 2), sl(a, 1, n - 1),
-                        sl(a, n - 1, n), sl(a, n - 2, n - 1)))
-    return tuple(forward), tuple(adjoint)
+    return tuple(
+        (h, int(np.prod(grid.dims[a + 1:])), sl(a, 0, 1), sl(a, n - 2, n - 1),
+         sl(a, n - 1, n))
+        for a, (n, h) in enumerate(zip(grid.dims, grid.spacing))
+    )
 
 
-def grad_forward(values, grid):
+def grad_forward(values, grid, out=None, scale=None):
     """Forward differences per axis, zero on the last slice of each axis.
 
     This is the gradient operator of the discrete total variation; its exact
-    negative adjoint is `grad_forward_adjoint`.
+    negative adjoint is `grad_forward_adjoint`. Returns the components
+    stacked in a (d, *shape) array, written into `out` when one is given.
+    Each axis is one subtraction over the raveled arrays, shifted
+    by the axis stride; the differences that wrap from one row into the
+    next all land on the last slice, which is zeroed after. Without `scale`
+    each axis is then divided by its spacing, which is np.diff over h bit
+    for bit; with it, multiplied by scale / h, which folds a caller's
+    factor into that pass and costs no division.
     """
-    out = []
-    for h, head, tail, last in _stencil_plan(grid)[0]:
-        g = np.empty(values.shape)
-        np.subtract(values[tail], values[head], out=g[head])
-        g[head] /= h
+    out = _out_buffer(out, (grid.d,) + grid.shape)
+    flat = values.reshape(-1)
+    for g, (h, stride, _first, _second_last, last) in zip(out, _stencil_plan(grid)):
+        np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
         g[last] = 0.0
-        out.append(g)
+        _scale_axis(g, h, scale)
     return out
 
 
-def grad_forward_adjoint(ps, grid):
+def grad_forward_adjoint(ps, grid, out=None, scale=None):
     """Exact transpose of grad_forward: sum_cells (grad u)_a p_a = sum u * out.
 
     Row i of the forward difference along an axis writes +1/h at i+1 and
     -1/h at i, for i = 0 .. n-2, so the transpose is -p_0 on the first
     slice, p_{i-1} - p_i inside and p_{n-2} on the last slice, over h.
+    `ps` holds one component per axis, as a list or stacked; the result is
+    written into `out` when one is given, and `scale` acts as in
+    grad_forward. The inside is one subtraction over the raveled arrays
+    per axis, and the first and last slices are then overwritten.
     """
-    out = np.empty(grid.shape)
+    out = _out_buffer(out, grid.shape)
     scratch = np.empty(grid.shape)
-    plan = _stencil_plan(grid)[1]
-    for a, (h, first, lower, inner, last, second_last) in enumerate(plan):
-        p = ps[a]
+    for a, (p, (h, stride, first, second_last, last)) in enumerate(
+        zip(ps, _stencil_plan(grid))
+    ):
         acc = out if a == 0 else scratch
+        flat = p.reshape(-1)
+        np.subtract(flat[:-stride], flat[stride:], out=acc.reshape(-1)[stride:])
         # negate by copy: the `negative` ufunc miscomputes into some
         # single-column views (module docstring)
         acc[first] = -p[first]
-        np.subtract(p[lower], p[inner], out=acc[inner])
         acc[last] = p[second_last]
-        acc /= h
+        _scale_axis(acc, h, scale)
         if acc is not out:
             out += acc
     return out
+
+
+def _scale_axis(diffs, h, scale):
+    """In place: differences over the spacing h, times scale if one is given."""
+    if scale is None:
+        diffs /= h
+    else:
+        diffs *= scale / h
 
 
 def tv_forward(values, grid):

@@ -10,11 +10,25 @@ and a mass-rank threshold maps the minimizer back to an indicator field.
 The projection is a continuous quadratic knapsack, solved exactly by a
 breakpoint method warm started from the previous iteration's shift
 (Kiwiel 2008): up to four Newton evaluations, then a sorted sweep only if
-they have not landed. Each PD iteration pays for about two clipped sums
-(1.7 to 2.3 on the benchmark steps) and, in practice, no sort.
+they have not landed. Each PD iteration pays for 1.66 (ripening step and
+interpolants) to 2.28 (stiff cap) clipped sums on the benchmark steps and,
+in practice, no sort; the bracket [-max v, 1 - min v] is computed only
+when the first sum misses, which a third of the ripening projections skip.
 The over-relaxation (factor 1.5) is written x_hat + 0.5 (x_hat - x): a
 cell clipped to 0 then halves exactly to 0 instead of cycling at +-1 ulp
 of the smallest subnormal, where every operation on u runs slowly.
+
+A solve allocates its workspace once. The primal u and the dual y, one
+component per axis, are stacked in one (d + 1, *shape) array and the
+iterate (u_hat, y_hat) in another, so the over-relaxation, the residual's
+differences and the dual update each act on whole stacks; the step
+constants are folded into the scale of the pass that needs them (-t/tau
+on the Poisson apply, t on the adjoint stencil, sigma on the gradient,
+t beta once per solve). The source of the Poisson apply is u - chi with
+its mean removed. The apply drops the zero mode, so the mean changes no
+exact value; it is a denormal guard: without it, at stiff h, subnormals
+reach the cosine transform and the stiff cap's iterations cost about a
+fifth more (full 64^2 solve, 6370 iterations).
 
 One private body, _step, runs solve, threshold and binary selection at a
 penalty time tau. mm_step is its tau = h face and returns the step record;
@@ -116,7 +130,7 @@ class Trajectory:
         return len(self.steps)
 
 
-def _project_box_mass(v, mean_target, shift):
+def _project_box_mass(v, mean_target, shift, out=None, work=None):
     """Euclidean projection onto {u in [0,1]^N : mean(u) = mean_target}.
 
     The projection is clip(v + s) for the scalar shift s at which the
@@ -135,34 +149,62 @@ def _project_box_mass(v, mean_target, shift):
     the warm shift is close and four evaluations land every call of the
     benchmark steps; with two, up to 28% of the calls paid for the sort.
 
-    Returns (u, s).
+    The first evaluation is at `shift` itself, and the bracket is computed
+    only when it misses. Outside the bracket every cell clips to the same
+    bound, so for 0 < mean_target < 1 that evaluation cannot land there;
+    it is then repeated at the nearest bracket end, where the four Newton
+    evaluations start. The result is the same as clamping `shift` into
+    the bracket first.
+
+    `out` receives u and `work` is a (float, bool) pair of scratch arrays,
+    all of v's shape; each is allocated when not given. Returns (u, s).
     """
     n = v.size
     target = mean_target * n
     # rounding floor of the clipped sum: evaluations within it have landed
     tol = _MEAN_TOL * n
-    lo, hi = -float(v.max()), 1.0 - float(v.min())
+    u = np.empty_like(v) if out is None else out
+    w, mask = (np.empty_like(v), np.empty(v.shape, bool)) if work is None else work
+
+    def clipped_sum(s):
+        # np.clip and u.sum() by their ufuncs, without the Python wrappers
+        np.add(v, s, out=w)
+        np.maximum(w, 0.0, out=u)
+        np.minimum(u, 1.0, out=u)
+        return float(np.add.reduce(u, axis=None)) - target
+
+    s = shift
+    r = clipped_sum(s)
+    if abs(r) <= tol:
+        return u, s
+    lo = -float(np.maximum.reduce(v, axis=None))
+    hi = 1.0 - float(np.minimum.reduce(v, axis=None))
     f_lo = -target
-    s = min(max(shift, lo), hi)
-    for _ in range(4):
-        w = v + s
-        u = np.clip(w, 0.0, 1.0)
-        r = float(u.sum()) - target
+    if not lo <= s <= hi:
+        s = min(max(s, lo), hi)
+        r = clipped_sum(s)
+    # four evaluations in all, from the first at the clamped shift
+    for evals in range(1, 5):
         if abs(r) <= tol:
             return u, s
+        # the slope is the count of free cells on the side of the root
         if r < 0.0:
             lo, f_lo = s, r
-            slope = np.count_nonzero((w >= 0.0) & (w < 1.0))
+            slope = (np.count_nonzero(np.greater_equal(w, 0.0, out=mask))
+                     - np.count_nonzero(np.greater_equal(w, 1.0, out=mask)))
         else:
             hi = s
-            slope = np.count_nonzero((w > 0.0) & (w <= 1.0))
+            slope = (np.count_nonzero(np.greater(w, 0.0, out=mask))
+                     - np.count_nonzero(np.greater(w, 1.0, out=mask)))
         if slope == 0:
             break
         s -= r / slope
-        if not lo < s < hi:
+        if not lo < s < hi or evals == 4:
             break
+        r = clipped_sum(s)
     s = _sweep_root(v, lo, f_lo, hi)
-    return np.clip(v + s, 0.0, 1.0), s
+    clipped_sum(s)  # u = clip(v + s)
+    return u, s
 
 
 def _sweep_root(v, lo, f_lo, hi):
@@ -192,23 +234,25 @@ def _dual_init(chi, grid, c0):
     gs = grad_forward(chi, grid)
     mag = np.sqrt(sum(g * g for g in gs))
     safe = np.where(mag > 0.0, mag, 1.0)
-    return [c0 * g / safe for g in gs]
+    return c0 * gs / safe
 
 
-def _clip_dual(ys, c0, mag, factor):
+def _clip_dual(y, c0, sq, mag):
     """Scale each dual vector longer than c0 back to length c0, in place.
 
-    mag and factor are scratch arrays of the grid shape. Returns ys.
+    y is the stacked (d, *shape) dual; sq has its shape and mag the grid
+    shape, both scratch. The factor c0 / max(|y|, c0) is exactly 1 where
+    |y| <= c0.
     """
-    np.multiply(ys[0], ys[0], out=mag)
-    for y in ys[1:]:
-        mag += np.multiply(y, y, out=factor)
+    np.multiply(y, y, out=sq)
+    np.add(sq[0], sq[1], out=mag)
+    for s in sq[2:]:
+        mag += s
     np.sqrt(mag, out=mag)
-    factor.fill(1.0)
-    np.divide(c0, mag, out=factor, where=mag > c0)
-    for y in ys:
-        y *= factor
-    return ys
+    np.maximum(mag, c0, out=mag)
+    np.divide(c0, mag, out=mag)
+    for comp in y:
+        comp *= mag
 
 
 def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
@@ -223,13 +267,13 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     nonlocal penalty enters through its gradient, one inverse-Laplacian
     apply per iteration, which is exact in the cosine basis.
 
-    The over-relaxation x + r (x_hat - x) is evaluated as
+    The iteration runs in a workspace allocated once per solve (module
+    docstring). The over-relaxation x + r (x_hat - x) is evaluated as
     x_hat + (r - 1) (x_hat - x). Where the projection clips u_hat to 0 the
     first form multiplies u by 1 - r = -1/2 with rounding, and at the
     smallest subnormal that rounding keeps u flipping between +1 and -1 ulp
     for the rest of the solve, so every operation reading u takes the slow
-    subnormal path; the second form halves u exactly and reaches 0. The
-    loop works in place, in preallocated buffers.
+    subnormal path; the second form halves u exactly and reaches 0.
     """
     if not tau > 0:
         raise ValueError("penalty time tau must be positive")
@@ -243,72 +287,71 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     sigma = _DUAL_SCALE * p.c0 / np.sqrt(knorm_sq)
     slack = min((2.0 - _RELAX) / _RELAX, 1.0)
     t = 1.0 / (0.5 * lip / slack * 1.02 + 1.02 * sigma * knorm_sq)
+    penalty_scale = -t / tau
+    t_beta = t * beta
 
+    stack = (grid.d + 1,) + grid.shape
+    x = np.empty(stack)
     if start is None:
-        u = chi.copy()
-        y = _dual_init(chi, grid, p.c0)
+        x[0] = chi
+        x[1:] = _dual_init(chi, grid, p.c0)
         shift = 0.0
     else:
-        u = start[0].copy()
-        y = [a.copy() for a in start[1]]
+        x[0] = start[0]
+        x[1:] = start[1]
         shift = start[2]
-    u_hat, y_hat = u, y
+    x_hat = np.empty(stack)
+    dx = np.empty(stack)  # x - x_hat, for the residual
+    u, y = x[0], x[1:]
+    u_hat, y_hat = x_hat[0], x_hat[1:]
+    sq = np.empty(y.shape)
     diff = np.empty(grid.shape)  # u - chi, mean removed
     arg = np.empty(grid.shape)  # primal argument of the projection
+    adj = np.empty(grid.shape)  # adjoint stencil of the dual
     ext = np.empty(grid.shape)  # extrapolated primal 2 u_hat - u
     mag = np.empty(grid.shape)
-    factor = np.empty(grid.shape)
+    work = (np.empty(grid.shape), np.empty(grid.shape, bool))
 
     iters = 0
     converged = False
     residual = np.inf
     for iters in range(1, cfg.pd_max_iters + 1):
         np.subtract(u, chi, out=diff)
+        # denormal guard (module docstring): the apply drops the zero mode
         diff -= diff.mean()
-        grad_h = poisson_apply_raw(diff, grid)
-        grad_h /= -tau
-        grad_h += beta
-        grad_h += grad_forward_adjoint(y, grid)
-        grad_h *= t
-        u_hat, shift = _project_box_mass(
-            np.subtract(u, grad_h, out=arg), mean_target, shift
-        )
+        poisson_apply_raw(diff, grid, out=arg)
+        arg *= penalty_scale
+        arg += t_beta
+        arg += grad_forward_adjoint(y, grid, out=adj, scale=t)
+        np.subtract(u, arg, out=arg)
+        shift = _project_box_mass(arg, mean_target, shift, out=u_hat,
+                                  work=work)[1]
         np.multiply(u_hat, 2.0, out=ext)
         ext -= u
-        y_hat = grad_forward(ext, grid)
-        for a in range(grid.d):
-            y_hat[a] *= sigma
-            y_hat[a] += y[a]
-        _clip_dual(y_hat, p.c0, mag, factor)
+        grad_forward(ext, grid, out=y_hat, scale=sigma)
+        y_hat += y
+        _clip_dual(y_hat, p.c0, sq, mag)
 
         if iters % _CHECK_EVERY == 0 or iters == cfg.pd_max_iters:
-            du = u - u_hat
-            dy = [y[a] - y_hat[a] for a in range(grid.d)]
-            p_res = np.linalg.norm(du / t - grad_forward_adjoint(dy, grid))
-            p_res += lip * np.linalg.norm(du)
-            gdu = grad_forward(du, grid)
-            d_res = np.sqrt(sum(
-                float(np.sum((dy[a] / sigma - gdu[a]) ** 2))
-                for a in range(grid.d)
-            ))
+            # t times the primal residual du/t - K^T dy and sigma times the
+            # dual residual dy/sigma - K du, on du = u - u_hat, dy = y - y_hat
+            np.subtract(x, x_hat, out=dx)
+            du, dy = dx[0], dx[1:]
+            np.subtract(du, grad_forward_adjoint(dy, grid, out=adj, scale=t),
+                         out=arg)
+            dy -= grad_forward(du, grid, out=sq, scale=sigma)
+            p_res = np.linalg.norm(arg) + t * lip * np.linalg.norm(du)
             unorm = max(1.0, float(np.linalg.norm(u_hat)))
-            ynorm = max(1.0, np.sqrt(sum(
-                float(np.sum(y_hat[a] ** 2)) for a in range(grid.d)
-            )))
-            residual = max(t * p_res / unorm, sigma * d_res / ynorm)
+            ynorm = max(1.0, float(np.linalg.norm(y_hat)))
+            residual = max(p_res / unorm, float(np.linalg.norm(dy)) / ynorm)
             if residual <= cfg.pd_tol:
                 converged = True
-                u = u_hat
                 break
-        for x, x_hat in zip([u] + y, [u_hat] + y_hat):
-            np.subtract(x_hat, x, out=x)
-            x *= _RELAX - 1.0
-            x += x_hat
+        np.subtract(x_hat, x, out=x)
+        x *= _RELAX - 1.0
+        x += x_hat
 
-    if not converged:
-        u = u_hat
-
-    out = PhaseField(grid, u, m0=chi_prev.m0)
+    out = PhaseField(grid, u_hat, m0=chi_prev.m0)
     info = SolveInfo(iters=iters, converged=converged, residual=float(residual),
                      end=(u_hat, y_hat, shift))
     return out, info

@@ -23,6 +23,15 @@ accumulator per axis). The buffered stencils in `fields` must reproduce
 them bit for bit; its Poisson apply, which transforms by per-axis matrix
 products, matches to rounding.
 
+solve_relaxed_ref is the primal-dual iteration of `minmov._solve_relaxed`
+as it stood before the loop was fused into one workspace: a list of dual
+components, the step constants applied one pass at a time, the dual clip
+by a masked division and a residual check that allocates. It runs on the
+reference kernels above, and on project_box_mass_ref, the box-and-mass
+projection that clamps the warm shift into the bracket before its first
+evaluation. The fused loop must repeat its iterates to rounding and its
+iteration counts exactly.
+
 supersampled is the original shape rasteriser: it evaluates an indicator
 once on the whole fine lattice of n^d points per cell, placed from the cell
 corners, and averages each cell's block. `fields.cell_average` places the
@@ -32,6 +41,8 @@ same points from the cell centres, one offset at a time.
 import numpy as np
 from scipy.fft import dctn, idctn
 
+from mskit import minmov
+from mskit.energy import PhaseField, wall_weight
 from mskit.fields import _neumann_symbol, div_mirror
 
 
@@ -185,6 +196,133 @@ def grad_forward_adjoint_ref(ps, grid):
         acc[sl(0, n - 1)] -= p[sl(0, n - 1)]
         out += acc / h
     return out
+
+
+def project_box_mass_ref(v, mean_target, shift):
+    """Box-and-mass projection, the warm shift clamped into the bracket first."""
+    n = v.size
+    target = mean_target * n
+    tol = minmov._MEAN_TOL * n
+    lo, hi = -float(v.max()), 1.0 - float(v.min())
+    f_lo = -target
+    s = min(max(shift, lo), hi)
+    for _ in range(4):
+        w = v + s
+        u = np.clip(w, 0.0, 1.0)
+        r = float(u.sum()) - target
+        if abs(r) <= tol:
+            return u, s
+        if r < 0.0:
+            lo, f_lo = s, r
+            slope = np.count_nonzero((w >= 0.0) & (w < 1.0))
+        else:
+            hi = s
+            slope = np.count_nonzero((w > 0.0) & (w <= 1.0))
+        if slope == 0:
+            break
+        s -= r / slope
+        if not lo < s < hi:
+            break
+    s = minmov._sweep_root(v, lo, f_lo, hi)
+    return np.clip(v + s, 0.0, 1.0), s
+
+
+def _clip_dual_ref(ys, c0, mag, factor):
+    np.multiply(ys[0], ys[0], out=mag)
+    for y in ys[1:]:
+        mag += np.multiply(y, y, out=factor)
+    np.sqrt(mag, out=mag)
+    factor.fill(1.0)
+    np.divide(c0, mag, out=factor, where=mag > c0)
+    for y in ys:
+        y *= factor
+    return ys
+
+
+def solve_relaxed_ref(chi_prev, tau, p, cfg, start=None):
+    """The unfused primal-dual loop; returns (relaxed field, SolveInfo)."""
+    grid = chi_prev.domain
+    chi = chi_prev.values
+    mean_target = chi_prev.m0 / grid.volume
+
+    beta = p.cos_alpha * p.c0 * wall_weight(grid)
+    lip = (max(grid.lengths) / np.pi) ** 2 / tau
+    knorm_sq = sum(4.0 / h ** 2 for h in grid.spacing)
+    sigma = minmov._DUAL_SCALE * p.c0 / np.sqrt(knorm_sq)
+    slack = min((2.0 - minmov._RELAX) / minmov._RELAX, 1.0)
+    t = 1.0 / (0.5 * lip / slack * 1.02 + 1.02 * sigma * knorm_sq)
+
+    if start is None:
+        u = chi.copy()
+        gs = grad_forward_ref(chi, grid)
+        mag = np.sqrt(sum(g * g for g in gs))
+        safe = np.where(mag > 0.0, mag, 1.0)
+        y = [p.c0 * g / safe for g in gs]
+        shift = 0.0
+    else:
+        u = start[0].copy()
+        y = [a.copy() for a in start[1]]
+        shift = start[2]
+    u_hat, y_hat = u, y
+    diff = np.empty(grid.shape)
+    arg = np.empty(grid.shape)
+    ext = np.empty(grid.shape)
+    mag = np.empty(grid.shape)
+    factor = np.empty(grid.shape)
+
+    iters = 0
+    converged = False
+    residual = np.inf
+    for iters in range(1, cfg.pd_max_iters + 1):
+        np.subtract(u, chi, out=diff)
+        diff -= diff.mean()
+        grad_h = poisson_apply_ref(diff, grid)
+        grad_h /= -tau
+        grad_h += beta
+        grad_h += grad_forward_adjoint_ref(y, grid)
+        grad_h *= t
+        u_hat, shift = project_box_mass_ref(
+            np.subtract(u, grad_h, out=arg), mean_target, shift
+        )
+        np.multiply(u_hat, 2.0, out=ext)
+        ext -= u
+        y_hat = grad_forward_ref(ext, grid)
+        for a in range(grid.d):
+            y_hat[a] *= sigma
+            y_hat[a] += y[a]
+        _clip_dual_ref(y_hat, p.c0, mag, factor)
+
+        if iters % minmov._CHECK_EVERY == 0 or iters == cfg.pd_max_iters:
+            du = u - u_hat
+            dy = [y[a] - y_hat[a] for a in range(grid.d)]
+            p_res = np.linalg.norm(du / t - grad_forward_adjoint_ref(dy, grid))
+            p_res += lip * np.linalg.norm(du)
+            gdu = grad_forward_ref(du, grid)
+            d_res = np.sqrt(sum(
+                float(np.sum((dy[a] / sigma - gdu[a]) ** 2))
+                for a in range(grid.d)
+            ))
+            unorm = max(1.0, float(np.linalg.norm(u_hat)))
+            ynorm = max(1.0, np.sqrt(sum(
+                float(np.sum(y_hat[a] ** 2)) for a in range(grid.d)
+            )))
+            residual = max(t * p_res / unorm, sigma * d_res / ynorm)
+            if residual <= cfg.pd_tol:
+                converged = True
+                u = u_hat
+                break
+        for x, x_hat in zip([u] + y, [u_hat] + y_hat):
+            np.subtract(x_hat, x, out=x)
+            x *= minmov._RELAX - 1.0
+            x += x_hat
+
+    if not converged:
+        u = u_hat
+
+    out = PhaseField(grid, u, m0=chi_prev.m0)
+    info = minmov.SolveInfo(iters=iters, converged=converged,
+                            residual=float(residual), end=(u_hat, y_hat, shift))
+    return out, info
 
 
 def supersampled(grid, indicator, n=4):

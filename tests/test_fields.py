@@ -363,16 +363,23 @@ class TestKernelsMatchReference:
         g, seed = case
         v = np.random.default_rng(seed).standard_normal(g.shape)
         ref = oracles.poisson_apply_ref(v, g)
-        err = np.max(np.abs(poisson_apply_raw(v, g) - ref))
+        got = poisson_apply_raw(v, g)
+        err = np.max(np.abs(got - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
+        # a caller's buffer takes the same values in place
+        out = np.empty(g.shape)
+        assert poisson_apply_raw(v, g, out=out) is out
+        assert np.array_equal(out, got)
 
     @given(kernel_grids())
     @hyp
     def test_cosine_transform_orthonormal(self, case):
         g, seed = case
-        for mat, _blocks in fields._cosine_plan(g):
+        for mat, mat_t, _blocks in fields._cosine_plan(g):
             err = np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0])))
             assert err <= 1e-13
+            assert mat_t.flags.c_contiguous
+            assert np.array_equal(mat_t, mat.T)
         v = np.random.default_rng(seed).standard_normal(g.shape)
         back = fields._cosine(fields._cosine(v, g), g, inverse=True)
         assert back.shape == g.shape
@@ -383,8 +390,16 @@ class TestKernelsMatchReference:
     def test_grad_forward(self, case):
         g, seed = case
         v = np.random.default_rng(seed).standard_normal(g.shape)
-        for got, ref in zip(grad_forward(v, g), oracles.grad_forward_ref(v, g)):
+        refs = oracles.grad_forward_ref(v, g)
+        for got, ref in zip(grad_forward(v, g), refs):
             assert np.array_equal(got, ref)
+        out = np.empty((g.d,) + g.shape)
+        assert grad_forward(v, g, out=out) is out
+        for got, ref in zip(out, refs):
+            assert np.array_equal(got, ref)
+        # a scale is one multiply by scale / h: equal to rounding
+        for got, ref in zip(grad_forward(v, g, scale=0.3), refs):
+            assert np.allclose(got, 0.3 * ref, rtol=1e-15, atol=0.0)
 
     @given(kernel_grids())
     @example((make_grid((8, 8), (1.0, 1.0)), 7))
@@ -394,9 +409,23 @@ class TestKernelsMatchReference:
         g, seed = case
         rng = np.random.default_rng(seed)
         ps = [rng.standard_normal(g.shape) for _ in range(g.d)]
-        assert np.array_equal(
-            grad_forward_adjoint(ps, g), oracles.grad_forward_adjoint_ref(ps, g)
-        )
+        ref = oracles.grad_forward_adjoint_ref(ps, g)
+        assert np.array_equal(grad_forward_adjoint(ps, g), ref)
+        # a stacked dual into a caller's buffer gives the same values
+        out = np.empty(g.shape)
+        assert grad_forward_adjoint(np.stack(ps), g, out=out) is out
+        assert np.array_equal(out, ref)
+        scaled = grad_forward_adjoint(ps, g, scale=0.3)
+        assert np.allclose(scaled, 0.3 * ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
+
+    def test_out_buffer_must_be_contiguous(self):
+        g = make_grid((8, 8), (1.0, 1.0))
+        v = np.zeros(g.shape)
+        strided = np.empty((8, 16))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            poisson_apply_raw(v, g, out=strided)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grad_forward(v, g, out=np.empty((8, 8, 2)))
 
     @given(kernel_grids(), st.booleans())
     @example((make_grid((8, 8), (1.0, 1.0)), 7), True)

@@ -18,6 +18,7 @@ from mskit.minmov import (
 )
 from mskit.scenarios import ScenarioSpec, interface_displacement_cells, make_initial
 
+import oracles
 from shapes import binary_disk, stripe
 
 hyp = settings(max_examples=20, deadline=None, derandomize=True)
@@ -183,6 +184,18 @@ class TestProjection:
 
         check()
         assert any(swept)
+
+    @given(projection_inputs(wheres=("outside", "far")))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_outside_shift_matches_eager_clamp(self, inputs):
+        # the first evaluation runs at the warm shift itself; outside the
+        # bracket the result must equal clamping the shift in first
+        v, frac, shift = inputs
+        work = (np.empty_like(v), np.empty(v.shape, bool))
+        u, s = mv._project_box_mass(v, frac, shift, out=np.empty_like(v), work=work)
+        u_ref, s_ref = oracles.project_box_mass_ref(v, frac, shift)
+        assert s == s_ref
+        np.testing.assert_array_equal(u, u_ref)
 
     def test_warm_start_at_root_is_kept(self):
         v = np.linspace(-0.4, 1.3, 50)
@@ -430,11 +443,11 @@ def test_pd_iterate_leaves_subnormal_range(monkeypatch):
     state = {"fresh": False, "seen": 0, "longest": 0,
              "run": np.zeros(spec.dims, dtype=int)}
 
-    def poisson_once_per_iteration(values, grid):
+    def poisson_once_per_iteration(values, grid, **kw):
         state["fresh"] = True
-        return poisson(values, grid)
+        return poisson(values, grid, **kw)
 
-    def grad_tracking_subnormals(values, grid):
+    def grad_tracking_subnormals(values, grid, **kw):
         # the first forward gradient after the Poisson apply is the one of
         # 2 u_hat - u; the warm start and the residual check come elsewhere
         if state["fresh"]:
@@ -443,7 +456,7 @@ def test_pd_iterate_leaves_subnormal_range(monkeypatch):
             sub = (values != 0.0) & (np.abs(values) < np.finfo(float).tiny)
             state["run"] = np.where(sub, state["run"] + 1, 0)
             state["longest"] = max(state["longest"], int(state["run"].max()))
-        return grad(values, grid)
+        return grad(values, grid, **kw)
 
     monkeypatch.setattr(mv, "poisson_apply_raw", poisson_once_per_iteration)
     monkeypatch.setattr(mv, "grad_forward", grad_tracking_subnormals)
@@ -451,6 +464,54 @@ def test_pd_iterate_leaves_subnormal_range(monkeypatch):
     assert res.pd_iters == iters
     assert state["seen"] == iters
     assert state["longest"] <= 60
+
+
+def loop_input(name):
+    """(chi, tau, params, start) of one fused-against-reference loop case.
+
+    stiff_cap is the subnormal path with the wall term on; two_balls starts
+    from the end of an h/2 solve; the 3-D boxes have equal and unequal
+    spacings.
+    """
+    if name in REGRESSION_STEPS:
+        kw, _iters, _objective = REGRESSION_STEPS[name]
+        spec = ScenarioSpec(name=name, dims=(32, 32), lengths=(1.0, 1.0),
+                            n_steps=1, **kw)
+        chi, p, h = make_initial(spec), spec.params, spec.step.h
+    else:
+        lengths = {"box_1_1_2": (1.0, 1.0, 2.0), "box_1_1_1": (1.0, 1.0, 1.0)}[name]
+        g = make_grid((8, 8, 16), lengths)
+        chi = binary_disk(g, (0.5, 0.5, lengths[2] / 2), 0.3)
+        p, h = EnergyParams(1.0, np.pi / 3), 1e-3
+    start = None
+    if name == "two_balls":
+        _u, info = mv._solve_relaxed(chi, h / 2, p, StepConfig(h=h))
+        assert info.converged
+        start = info.end
+    return chi, h, p, start
+
+
+def assert_same_solve(chi, tau, p, cfg, start):
+    out, info = mv._solve_relaxed(chi, tau, p, cfg, start)
+    ref, ref_info = oracles.solve_relaxed_ref(chi, tau, p, cfg, start)
+    assert (info.iters, info.converged) == (ref_info.iters, ref_info.converged)
+    (u_hat, y_hat, shift), (u_ref, y_ref, shift_ref) = info.end, ref_info.end
+    for got, want in ((u_hat, u_ref), (y_hat, np.asarray(y_ref)),
+                      (out.values, ref.values), (shift, shift_ref)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["stiff_cap", "two_balls", "box_1_1_2", "box_1_1_1"])
+def test_fused_loop_repeats_reference_iterates(name):
+    # pd_tol far below reach: both loops run all 300 iterations
+    chi, tau, p, start = loop_input(name)
+    assert_same_solve(chi, tau, p, StepConfig(h=tau, pd_max_iters=300,
+                                              pd_tol=1e-12), start)
+
+
+def test_fused_loop_converges_with_reference():
+    chi, tau, p, start = loop_input("two_balls")
+    assert_same_solve(chi, tau, p, StepConfig(h=tau), start)
 
 
 # ---------------------------------------------------------------------------
