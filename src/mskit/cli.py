@@ -86,13 +86,11 @@ def cmd_report(args):
     ledger = read_ledger(args.ledger)
     rs = ledger.records
     drop = rs[0].E_total - rs[-1].E_total
-    worst = min(r.dissipation_margin for r in rs)
-    drift = max(abs(r.mass - rs[0].mass) for r in rs)
     print("records:       %d (t = %.6g .. %.6g)" % (len(rs), rs[0].t, rs[-1].t))
     print("energy:        %.8f -> %.8f (drop %.3e)" %
           (rs[0].E_total, rs[-1].E_total, drop))
-    print("worst margin:  %.6e" % worst)
-    print("mass drift:    %.6e" % drift)
+    print("worst margin:  %.6e" % ledger.worst_margin)
+    print("mass drift:    %.6e" % ledger.mass_drift)
     print("max gt resid:  %.6e" % max(r.gt_residual for r in rs))
     return 0
 

@@ -10,8 +10,6 @@ variation with a constructed wall-tangential direction field.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import (
     MeanZeroField,
     VectorField,
@@ -61,6 +59,8 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Ledger:
+    """Rows of `dissipation_ledger` or of a ledger CSV, and the run's verdicts."""
+
     records: tuple
 
     def __post_init__(self):
@@ -72,6 +72,16 @@ class Ledger:
     def E0(self):
         """The initial energy, the first row's total."""
         return self.records[0].E_total
+
+    @property
+    def worst_margin(self):
+        """The smallest dissipation margin of the run."""
+        return min(r.dissipation_margin for r in self.records)
+
+    @property
+    def mass_drift(self):
+        """The largest distance of a row's mass from the first row's."""
+        return max(abs(r.mass - self.records[0].mass) for r in self.records)
 
 
 def potential_w(chi_bar, chi_anchor, tau):
@@ -151,17 +161,20 @@ def _slope_from_samples(chi_anchor, samples, h, vel_sq):
 
 
 def dissipation_ledger(traj, p, cfg):
-    """Per-step energies, velocities, slopes, multipliers, and margins.
+    """The one audit of a trajectory: energies, slopes, margins, Gibbs-Thomson.
 
-    The margin of row n is the initial energy minus the current energy
-    minus the accumulated half-sums of squared velocity and slope, so a
-    nonnegative column certifies the sharp dissipation inequality up to
-    solver tolerance. Slopes use the full-step transfer potential, or the
-    trapezoid rule over the trajectory's De Giorgi snapshots when present.
-    The step length is cfg.h, the mollification width four cell spacings.
-    The snapshots are (tau, field) pairs, S - 1 per step for S =
-    cfg.interpolant_samples, so step n's samples are the n-th block of
-    S - 1; a snapshot count other than n_steps (S - 1) raises ValueError.
+    Row n books state n's energy, the squared velocity and slope of the
+    step into it, and the mass multiplier and worst Gibbs-Thomson residual
+    over the whole `default_tangential_fields` basis, paired with that
+    step's transfer potential. Row 0 takes the initial state as its own
+    anchor, so its potential, velocity, slope and margin are zero and its
+    residual is the stationary one. The margin is the initial energy minus
+    the current one minus the accumulated half-sums of squared velocity
+    and slope; a nonnegative column certifies the sharp dissipation
+    inequality up to solver tolerance. Slopes use the full-step potential,
+    or the trapezoid rule over the De Giorgi snapshots, (tau, field) pairs,
+    S - 1 per step for S = cfg.interpolant_samples: step n's samples are
+    the n-th block, and any other snapshot count raises ValueError.
     """
     states = traj.states()
     grid = states[0].domain
@@ -172,29 +185,23 @@ def dissipation_ledger(traj, p, cfg):
         raise ValueError("%d interpolant snapshots for %d steps of %d samples"
                          % (len(snaps), traj.n_steps, cfg.interpolant_samples))
     eps = mollification_width(grid)
-    basis = default_tangential_fields(grid, count=6)
+    basis = default_tangential_fields(grid)
+    anchors = states[:1] + states[:-1]
+    blocks = [()] + [snaps[k * per_step:(k + 1) * per_step]
+                     for k in range(traj.n_steps)]
+    gaps = [0.0] + [s.relaxation_gap for s in traj.steps]
+    E0 = energy(states[0], p).total
 
     records = []
     cum = 0.0
-    zero_w = MeanZeroField(grid, np.zeros(grid.shape))
-    for n, chi in enumerate(states):
+    for n, (chi, prev, samples, gap) in enumerate(zip(states, anchors, blocks, gaps)):
         br = energy(chi, p)
         slc = interface_measure(chi, eps)
         xi = construct_xi(chi, eps)
-        if n == 0:
-            w = zero_w
-            vel_sq = 0.0
-            slope_sq = 0.0
-            gap = 0.0
-            E0 = br.total
-        else:
-            prev = states[n - 1]
-            w = potential_w(chi, prev, h)
-            vel_sq = h1_norm_sq(w)
-            samples = snaps[(n - 1) * per_step:n * per_step]
-            slope_sq = _slope_from_samples(prev, samples, h, vel_sq)
-            gap = traj.steps[n - 1].relaxation_gap
-            cum += h * (0.5 * vel_sq + 0.5 * slope_sq)
+        w = potential_w(chi, prev, h)
+        vel_sq = h1_norm_sq(w)
+        slope_sq = _slope_from_samples(prev, samples, h, vel_sq)
+        cum += h * (0.5 * vel_sq + 0.5 * slope_sq)
         lam = lagrange_multiplier(chi, slc, w, xi, p)
         gt = gibbs_thomson_residual(chi, slc, w, lam, p, basis)
         records.append(StepRecord(

@@ -237,12 +237,13 @@ def tapered_dilation(grid, center):
     return vector_from_callables(grid, [comp(a) for a in range(grid.d)])
 
 
-def default_tangential_fields(grid, count=8):
-    """Smooth wall-tangential fields used by the residual audits.
+def default_tangential_fields(grid):
+    """The one wall-tangential test-field basis of the residual audits.
 
-    Built from per-axis sine envelopes so each component vanishes on its own
-    wall by construction, plus one tapered dilation and (in 2d) a tapered
-    rotation.
+    Two sine envelopes per axis, so each component vanishes on its own
+    wall by construction, one field per axis mixing it with the next, a
+    tapered dilation and, in 2-D, a tapered rotation: 8 fields in 2-D, 10
+    in 3-D. The audits take the worst residual over all of them.
     """
     fields = []
     L = grid.lengths
@@ -293,7 +294,7 @@ def default_tangential_fields(grid, count=8):
             return t * (x - center[0])
 
         fields.append(vector_from_callables(grid, [rot_x, rot_y]))
-    return fields[:count]
+    return fields
 
 
 def default_wall_normal_fields(grid, p):
@@ -310,7 +311,7 @@ def default_wall_normal_fields(grid, p):
 
     base_comps = [base(a) for a in range(grid.d)]
     out = [vector_from_callables(grid, base_comps, tangential=False)]
-    for eta in default_tangential_fields(grid, count=2):
+    for eta in default_tangential_fields(grid)[:2]:
         comps = [b + e for b, e in zip(out[0].components, eta.components)]
         out.append(VectorField(grid, comps, tangential=False))
     return out
@@ -338,8 +339,8 @@ def compatibility_check(chi, slc, p):
     Checks the blockwise domination of the sharp perimeter by the slice
     mass (up to a calibrated mollification slack) and evaluates the two
     identity residuals pairing the oriented slice with the staircase
-    gradient, for six tangential and three wall-flux test fields
-    respectively. The partition has four blocks per axis.
+    gradient, over the whole tangential basis and the three wall-flux test
+    fields respectively. The partition has four blocks per axis.
     """
     grid = chi.domain
     vol = grid.cell_volume
@@ -378,9 +379,7 @@ def compatibility_check(chi, slc, p):
         rhs = velocity_pairing_field(chi, field)
         return p.c0 * abs(float(np.sum(lhs - rhs))) * vol / field_scale(field)
 
-    res_eta = max(
-        oriented_residual(f) for f in default_tangential_fields(grid, count=6)
-    )
+    res_eta = max(oriented_residual(f) for f in default_tangential_fields(grid))
     res_xi = max(
         oriented_residual(f) for f in default_wall_normal_fields(grid, p)
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import Ledger, StepRecord
-from .scenarios import KINDS, ScenarioSpec, default_scenarios
+from .scenarios import _GEOMETRY, _READS, KINDS, ScenarioSpec, default_scenarios
 
 MAGIC = b"MSFLD1"
 VERSION = 1
@@ -95,7 +95,6 @@ CONFIG_KEYS = {
     "scenario.angle": ("scenario", "angle", float, _g),
     "scenario.x_cut": ("scenario", "x_cut", float, _g),
     "scenario.seed": ("scenario", "seed", int, str),
-    # the blob_* keys only act, and are only echoed, with a seed
     "scenario.blob_count": ("scenario", "blob_count", int, str),
     "scenario.blob_radius_range": (
         "scenario", "blob_radius_range", _list(float), _join(_g),
@@ -163,17 +162,17 @@ def load_config(path):
 def echo_config(cfg):
     """Canonical text form of a RunConfig, parseable by load_config.
 
-    Keys whose value is unset (None) or empty are left out, and so are the
-    blob_* keys of a scenario without a seed.
+    Geometry keys the scenario's kind does not read are left out, the
+    rule `ScenarioSpec` enforces, and so are keys whose value is unset
+    (None) or empty, such as a cap's absent centre.
     """
     spec = cfg.scenario
     records = dict(scenario=spec, params=spec.params, step=spec.step, run=cfg)
+    unread = _GEOMETRY.difference(_READS[spec.kind])
     lines = []
     for key, (target, name, _parse, fmt) in CONFIG_KEYS.items():
         value = getattr(records[target], name)
-        if value is None or value == ():
-            continue
-        if key.startswith("scenario.blob_") and spec.seed is None:
+        if value is None or value == () or name in unread:
             continue
         lines.append("%s = %s" % (key, fmt(value)))
     return "\n".join(lines) + "\n"

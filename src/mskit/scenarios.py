@@ -37,7 +37,7 @@ _GEOMETRY = frozenset(name for names in _READS.values() for name in names)
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Geometry, grid, energy, and stepping for one named run."""
+    """Geometry, grid, energy, and stepping for one named run; its shape fits."""
 
     name: str
     kind: str
@@ -85,6 +85,7 @@ class ScenarioSpec:
             raise ValueError("cap angle outside (0, pi/2]")
         if self.kind == "random_blobs" and self.seed is None:
             raise ValueError("random_blobs needs a seed")
+        _shape(self)
 
 
 def _blob_layout(spec):
@@ -146,8 +147,12 @@ def _balls(spec, clear):
     return balls
 
 
-def make_initial(spec):
-    """Binary phase field for the scenario's analytic geometry."""
+def _shape(spec):
+    """The checked grid and inside-predicate of a spec's phase.
+
+    `ScenarioSpec` calls it when built, so a spec whose grid is invalid or
+    whose shape does not fit is never made.
+    """
     grid = make_grid(spec.dims, spec.lengths)
     clear = 2.0 * max(grid.spacing)
 
@@ -167,6 +172,16 @@ def make_initial(spec):
                 hit |= sum((mi - ci) ** 2 for mi, ci in zip(m, c)) <= r * r
             return hit
 
+    return grid, inside
+
+
+def make_initial(spec):
+    """Binary phase field for the scenario's analytic geometry.
+
+    The spec's geometry was checked when it was built; only the raster's
+    post-condition is left, a phase neither empty nor full.
+    """
+    grid, inside = _shape(spec)
     # threshold at the fraction quantile that reproduces the covered mass,
     # so the binary mass tracks the analytic one to about half a cell
     frac = cell_average(grid, inside)

@@ -23,6 +23,21 @@ from mskit.io import (
 from mskit.scenarios import KINDS
 
 
+# configs whose geometry does not fit, with the message `info` and `run`
+# both print
+UNFIT_CONFIGS = [
+    pytest.param("scenario.kind = ball\nscenario.radii = 0.6\n",
+                 "shape out of bounds: ball", id="ball_radius"),
+    pytest.param("scenario.kind = two_balls\nscenario.centers = 0.3 0.5 ; 0.4 0.5\n",
+                 "shape out of bounds: balls overlap", id="two_balls_overlap"),
+    pytest.param("scenario.kind = stripe\nscenario.x_cut = 0.999\n",
+                 "shape out of bounds: stripe cut", id="stripe_cut"),
+    pytest.param("scenario.dims = 4 4\n",
+                 "axis 0 has 4 cells, need at least 8", id="dims"),
+    pytest.param("scenario.lengths = 1 -1\n",
+                 "axis 1 has non-positive extent -1.0", id="lengths"),
+]
+
 # ledger bodies after the header that read_ledger rejects, with the message
 MALFORMED_LEDGERS = [
     pytest.param("", "no rows", id="header_only"),
@@ -100,11 +115,8 @@ class TestConfigGrammar:
 
     def test_geometry_validation_surfaces(self):
         text = "scenario.kind = ball\nscenario.radii = 0.8\n"
-        cfg = config_from_values(parse_config_text(text))
-        from mskit.scenarios import make_initial
-
-        with pytest.raises(ValueError, match="out of bounds"):
-            make_initial(cfg.scenario)
+        with pytest.raises(ConfigError, match="out of bounds"):
+            config_from_values(parse_config_text(text))
 
     def test_stride_validated(self):
         with pytest.raises(ConfigError, match="stride"):
@@ -359,6 +371,17 @@ class TestCLI:
         bad.write_text("scenario.kind = boundary_cap\nscenario.angle = 2.0\n")
         assert main(["info", "--config", str(bad)]) == 2
         assert "error: cap angle outside (0, pi/2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", UNFIT_CONFIGS)
+    def test_unfit_geometry_exit_code(self, tmp_path, capsys, body, message):
+        # the spec refuses a shape that does not fit its grid, so `info`
+        # fails as `run` does, with the same message
+        bad = tmp_path / "unfit.cfg"
+        bad.write_text(body)
+        assert main(["info", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     @pytest.mark.parametrize("suite", sorted(CHECKS))
     def test_check_suite_passes(self, suite_records, suite):

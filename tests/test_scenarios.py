@@ -76,7 +76,57 @@ def spec_cap(n=128, angle=np.pi / 3, radius=0.25, h=1e-4, n_steps=0):
     )
 
 
+@st.composite
+def drawn_specs(draw):
+    """Keyword arguments of a ball, two_balls, stripe or cap on 16^2 to 48^2.
+
+    Centres, cuts and radii are drawn over most of the box, so many of the
+    specs do not fit; the radii start at 0, so some fit but cover no cell.
+    """
+    n = draw(st.integers(16, 48))
+    kind = draw(st.sampled_from(("ball", "two_balls", "stripe", "boundary_cap")))
+    unit = st.floats(0.05, 0.95)
+    radius = st.floats(0.0, 0.25)
+    if kind == "stripe":
+        geometry = dict(x_cut=draw(unit))
+    elif kind == "boundary_cap":
+        geometry = dict(centers=((draw(unit), 0.0),), radii=(draw(radius),),
+                        angle=draw(st.floats(0.0, np.pi / 2, exclude_min=True)))
+    else:
+        count = 1 if kind == "ball" else 2
+        geometry = dict(centers=tuple((draw(unit), draw(unit)) for _ in range(count)),
+                        radii=tuple(draw(radius) for _ in range(count)))
+    return dict(name=kind, kind=kind, dims=(n, n), lengths=(1.0, 1.0), params=P90,
+                step=StepConfig(h=1e-4), n_steps=0, **geometry)
+
+
 class TestSpecValidation:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn_specs())
+    def test_built_spec_rasterises(self, kwargs):
+        # every geometry check runs when the spec is built, so a spec that
+        # exists fails to rasterise only by covering no cell or every cell
+        try:
+            spec = ScenarioSpec(**kwargs)
+        except ValueError:
+            return
+        try:
+            chi = make_initial(spec)
+        except ValueError as exc:
+            assert "empty or full phase" in str(exc)
+        else:
+            assert 0.0 < chi.integral() < chi.domain.volume
+
+    def test_shipped_and_benchmark_specs_build(self):
+        for n in (32, 48, 64, 128):
+            default_scenarios(n)
+        for make in workloads.SPECS.values():
+            for seed in range(10):
+                make(seed)
+        # 16^2 leaves the larger of the shipped two balls no clearance
+        with pytest.raises(ValueError, match="out of bounds: two_balls"):
+            default_scenarios(16)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ScenarioSpec(
@@ -201,13 +251,12 @@ class TestMakeInitial:
             make_initial(spec_ball(64, center=(0.9, 0.5), radius=0.2))
 
     def test_two_balls_overlap(self):
-        spec = ScenarioSpec(
-            name="x", kind="two_balls", dims=(64, 64), lengths=(1.0, 1.0),
-            params=P90, step=StepConfig(h=1e-4), n_steps=0,
-            centers=((0.4, 0.5), (0.6, 0.5)), radii=(0.15, 0.15),
-        )
         with pytest.raises(ValueError, match="overlap"):
-            make_initial(spec)
+            ScenarioSpec(
+                name="x", kind="two_balls", dims=(64, 64), lengths=(1.0, 1.0),
+                params=P90, step=StepConfig(h=1e-4), n_steps=0,
+                centers=((0.4, 0.5), (0.6, 0.5)), radii=(0.15, 0.15),
+            )
 
     def test_stripe_cut_out_of_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
@@ -219,12 +268,12 @@ class TestMakeInitial:
 
     def test_cap_too_tall(self):
         # fits along the wall, but would rise 0.8 in a box 0.5 high
-        spec = replace(
-            spec_cap(angle=np.pi / 2, radius=0.8),
-            dims=(64, 16), lengths=(2.0, 0.5), centers=((1.0, 0.0),),
-        )
         with pytest.raises(ValueError, match="out of bounds: boundary_cap"):
-            make_initial(spec)
+            ScenarioSpec(
+                name="x", kind="boundary_cap", dims=(64, 16), lengths=(2.0, 0.5),
+                params=P90, step=StepConfig(h=1e-4), n_steps=0,
+                centers=((1.0, 0.0),), radii=(0.8,), angle=np.pi / 2,
+            )
 
     def test_cap_3d_is_spherical(self):
         # centred mid-box along z, the cap wets a disc of the bottom wall,
@@ -241,18 +290,17 @@ class TestMakeInitial:
         assert np.max(np.abs(z - 0.5)) <= 0.25 * np.sin(np.pi / 3) + h
 
     def test_cap_3d_too_wide_along_z(self):
-        spec = replace(spec_cap(), dims=(64, 16, 16), lengths=(2.0, 1.0, 0.5))
         with pytest.raises(ValueError, match="out of bounds: boundary_cap"):
-            make_initial(replace(spec, centers=((1.0, 0.0),)))
+            replace(spec_cap(), dims=(64, 16, 16), lengths=(2.0, 1.0, 0.5),
+                    centers=((1.0, 0.0),))
 
     def test_blobs_unplaceable(self):
-        spec = ScenarioSpec(
-            name="x", kind="random_blobs", dims=(64, 64), lengths=(1.0, 1.0),
-            params=P90, step=StepConfig(h=1e-4), n_steps=0, seed=7,
-            blob_count=60,
-        )
         with pytest.raises(ValueError, match="could not place"):
-            make_initial(spec)
+            ScenarioSpec(
+                name="x", kind="random_blobs", dims=(64, 64), lengths=(1.0, 1.0),
+                params=P90, step=StepConfig(h=1e-4), n_steps=0, seed=7,
+                blob_count=60,
+            )
 
     def test_deterministic_rebuild(self):
         spec = spec_ball(64)
@@ -415,9 +463,10 @@ class TestDefaultScenarios:
     }
 
     # every shipped shape that fits its grid (16^2 has no room for
-    # two_balls), and the benchmark's seeded caps
-    SPECS = [(n, s) for n in (16, 24, 32, 56, 64, 128, 256)
-             for s in default_scenarios(n) if (n, s.kind) != (16, "two_balls")]
+    # two_balls, so `default_scenarios(16)` refuses to build), and the
+    # benchmark's seeded caps
+    SPECS = [(n, replace(s, dims=(n, n))) for n in (16, 24, 32, 56, 64, 128, 256)
+             for s in default_scenarios(32) if (n, s.kind) != (16, "two_balls")]
     SPECS += [(64, workloads.cap_spec(seed)) for seed in range(24)]
 
     @pytest.mark.parametrize("n, spec", SPECS, ids=[
