@@ -160,9 +160,10 @@ def _classical_verdicts(spec, states):
     """The kind-specific classical behaviour of one run, by check key.
 
     The kinds the consistency suite runs (ball, stripe and two_balls) have
-    a rule here. The relaxing cap has none: its rule and a contact-angle
-    measure with a bounded error come back with the suite run that first
-    includes a cap.
+    a rule here; any other kind raises ValueError, so a run of it cannot
+    pass on mass and margin alone. The relaxing cap has no rule yet: it
+    and a contact-angle measure with a bounded error come with the suite
+    run that first includes a cap.
     """
     if spec.kind == "ball":
         disp = max(interface_displacement_cells(states[0], s) for s in states)
@@ -175,7 +176,7 @@ def _classical_verdicts(spec, states):
         downs = sum(1 for a, b in zip(masses, masses[1:]) if b < a)
         steps = len(masses) - 1
         return {"ostwald": steps > 0 and downs >= 0.8 * steps}
-    return {}
+    raise ValueError("no classical rule for kind %r" % spec.kind)
 
 
 def check_consistency(out_dir):

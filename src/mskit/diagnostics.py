@@ -3,9 +3,10 @@
 The transfer potential w of a partial step of length tau solves the Neumann
 problem with source (chi_bar - chi_anchor)/tau. Its Dirichlet energy is the
 squared velocity of a step and, sampled at the De Giorgi interpolants, the
-squared slope in the sharp dissipation bookkeeping of the ledger. Lagrange
-multipliers for the mass constraint come from pairing the interface first
-variation with a constructed wall-tangential direction field.
+squared slope in the sharp dissipation bookkeeping of the ledger. The mass
+multiplier closes the weak Gibbs-Thomson defect, `_gt_defect`, along a
+constructed wall-tangential direction field; the residual audit reads the
+same defect over the test-field basis.
 """
 
 from dataclasses import dataclass
@@ -116,27 +117,29 @@ def construct_xi(chi, eps):
     return xi
 
 
+def _gt_defect(chi, slc, f, B, p):
+    """The weak Gibbs-Thomson defect along B under the cell potential f:
+    the first variation along B minus the integral of chi div(f B)."""
+    fB = VectorField(chi.domain, [f * c for c in B.components], tangential=B.tangential)
+    return first_variation(chi, slc, B, p) - constraint_integral(chi, fB)
+
+
 def lagrange_multiplier(chi, slc, w, xi, p):
-    """Mass-constraint multiplier from the xi-pairing of the first variation."""
+    """The mass multiplier: the defect of w along xi over integral chi div xi,
+    the constant that leaves w + lambda no defect along xi."""
     denom = constraint_integral(chi, xi)
     if denom < NORMALIZER_FLOOR:
         raise ValueError("degenerate multiplier normalizer")
-    wxi = [w.values * c for c in xi.components]
-    wpair = constraint_integral(chi, VectorField(chi.domain, wxi, tangential=xi.tangential))
-    return (first_variation(chi, slc, xi, p) - wpair) / denom
+    return _gt_defect(chi, slc, w.values, xi, p) / denom
 
 
 def gibbs_thomson_residual(chi, slc, w, lam, p, basis):
-    """Worst normalized defect of the curvature-potential relation."""
-    worst = 0.0
-    for B in basis:
-        if not B.tangential:
-            raise ValueError("Gibbs-Thomson basis fields must be tangential")
-        fB = [(w.values + lam) * c for c in B.components]
-        pair = constraint_integral(chi, VectorField(chi.domain, fB, tangential=B.tangential))
-        resid = abs(first_variation(chi, slc, B, p) - pair)
-        worst = max(worst, resid / field_scale(B))
-    return worst
+    """Worst defect under w + lam over `basis`, each over its `field_scale`.
+
+    `first_variation` refuses a basis field that is not wall-tangential.
+    """
+    f = w.values + lam
+    return max(abs(_gt_defect(chi, slc, f, B, p)) / field_scale(B) for B in basis)
 
 
 def _slope_from_samples(chi_anchor, samples, h, vel_sq):

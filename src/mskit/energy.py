@@ -6,6 +6,12 @@ interface makes with the container. Interface geometry for diagnostics comes
 from a mollified slice: smooth the indicator, take the centered gradient,
 and read off a density and a unit inner normal. The wall trace is the
 phase's own face cells, read where it is needed.
+
+The weak curvature-potential relation pairs `first_variation`, the energy's
+derivative under an inner variation B, with `constraint_integral`, the
+integral of chi div B, on the one basis of wall-tangential test fields,
+`default_tangential_fields`. `compatibility_check` pairs the slice with the
+staircase gradient on that basis and on three fields of wall flux cos(alpha).
 """
 
 import itertools
@@ -216,105 +222,61 @@ def constraint_integral(chi, B):
 # default test-field dictionaries
 # ---------------------------------------------------------------------------
 
-def _taper_profile(x, L, margin):
-    """Smooth 0->1->0 profile that is exactly 1 away from the walls."""
-    t = np.clip(np.minimum(x, L - x) / margin, 0.0, 1.0)
-    return 0.5 - 0.5 * np.cos(np.pi * t)
+def _zero(*m):
+    return np.zeros_like(m[0])
 
 
-def tapered_dilation(grid, center):
-    """Dilation about `center`, smoothly switched off near the walls."""
+def _tapered_fields(grid):
+    """A dilation about the box centre and a rotation in each coordinate
+    plane, switched off smoothly within a mollification width of the walls."""
+    L = grid.lengths
+    center = tuple(0.5 * x for x in L)
     margin = mollification_width(grid)
 
-    def comp(a):
-        def fn(*meshes):
-            taper = np.ones_like(meshes[0])
-            for b in range(grid.d):
-                taper = taper * _taper_profile(meshes[b], grid.lengths[b], margin)
-            return taper * (meshes[a] - center[a])
+    def radial(a):
+        def fn(*m):
+            # a smooth 0 -> 1 profile per axis, exactly 1 past the margin
+            taper = np.ones_like(m[0])
+            for x, length in zip(m, L):
+                t = np.clip(np.minimum(x, length - x) / margin, 0.0, 1.0)
+                taper = taper * (0.5 - 0.5 * np.cos(np.pi * t))
+            return taper * (m[a] - center[a])
         return fn
 
-    return vector_from_callables(grid, [comp(a) for a in range(grid.d)])
+    out = [vector_from_callables(grid, [radial(a) for a in range(grid.d)])]
+    for a, b in itertools.combinations(range(grid.d), 2):
+        comps = [_zero] * grid.d
+        comps[a] = lambda *m, _b=radial(b): -_b(*m)
+        comps[b] = radial(a)
+        out.append(vector_from_callables(grid, comps))
+    return out
 
 
 def default_tangential_fields(grid):
     """The one wall-tangential test-field basis of the residual audits.
 
     Two sine envelopes per axis, so each component vanishes on its own
-    wall by construction, one field per axis mixing it with the next, a
-    tapered dilation and, in 2-D, a tapered rotation: 8 fields in 2-D, 10
-    in 3-D. The audits take the worst residual over all of them.
+    wall by construction, one field per axis mixing it with the next, then
+    a tapered dilation and a tapered rotation in every coordinate plane:
+    8 fields in 2-D, 13 in 3-D. The audits take the worst residual over
+    all of them.
     """
-    fields = []
     L = grid.lengths
 
-    def sin1(a):
-        return lambda *m: np.sin(np.pi * m[a] / L[a])
+    def along(a, fn):
+        comps = [_zero] * grid.d
+        comps[a] = fn
+        return vector_from_callables(grid, comps)
 
-    def sin2(a):
-        return lambda *m: np.sin(2 * np.pi * m[a] / L[a])
-
-    def zero():
-        return lambda *m: np.zeros_like(m[0])
-
+    fields = []
     for a in range(grid.d):
-        comps = [zero() for _ in range(grid.d)]
-        comps[a] = sin1(a)
-        fields.append(vector_from_callables(grid, comps))
-        comps = [zero() for _ in range(grid.d)]
-        comps[a] = sin2(a)
-        fields.append(vector_from_callables(grid, comps))
-
-    # modulated fields mixing the axes
+        for k in (1, 2):
+            fields.append(along(a, lambda *m, a=a, k=k: np.sin(k * np.pi * m[a] / L[a])))
     for a in range(grid.d):
         b = (a + 1) % grid.d
-        comps = [zero() for _ in range(grid.d)]
-        axis_a, axis_b = a, b
-
-        def fn(*m, _a=axis_a, _b=axis_b):
-            return np.sin(np.pi * m[_a] / L[_a]) * np.cos(np.pi * m[_b] / L[_b])
-
-        comps[a] = fn
-        fields.append(vector_from_callables(grid, comps))
-
-    center = tuple(0.5 * x for x in L)
-    fields.append(tapered_dilation(grid, center))
-
-    if grid.d == 2:
-        margin = mollification_width(grid)
-
-        def rot_x(x, y):
-            t = (_taper_profile(x, L[0], margin)
-                 * _taper_profile(y, L[1], margin))
-            return -t * (y - center[1])
-
-        def rot_y(x, y):
-            t = (_taper_profile(x, L[0], margin)
-                 * _taper_profile(y, L[1], margin))
-            return t * (x - center[0])
-
-        fields.append(vector_from_callables(grid, [rot_x, rot_y]))
-    return fields
-
-
-def default_wall_normal_fields(grid, p):
-    """Three fields whose outward wall flux equals cos(alpha) on every face.
-
-    The first is a cosine profile; the other two add the first two
-    tangential fields to it.
-    """
-    ca = p.cos_alpha
-    L = grid.lengths
-
-    def base(a):
-        return lambda *m: -ca * np.cos(np.pi * m[a] / L[a])
-
-    base_comps = [base(a) for a in range(grid.d)]
-    out = [vector_from_callables(grid, base_comps, tangential=False)]
-    for eta in default_tangential_fields(grid)[:2]:
-        comps = [b + e for b, e in zip(out[0].components, eta.components)]
-        out.append(VectorField(grid, comps, tangential=False))
-    return out
+        fields.append(along(a, lambda *m, a=a, b=b: (
+            np.sin(np.pi * m[a] / L[a]) * np.cos(np.pi * m[b] / L[b]))))
+    return fields + _tapered_fields(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +290,23 @@ class CompatibilityReport:
     wall_identity_residual: float
 
 
+def _wall_flux_fields(grid, p, basis):
+    """Three fields whose outward wall flux is cos(alpha) on every face.
+
+    A cosine profile per axis, and that profile plus each of the first two
+    fields of the tangential `basis`.
+    """
+    L = grid.lengths
+    wall = vector_from_callables(grid, [
+        lambda *m, a=a: -p.cos_alpha * np.cos(np.pi * m[a] / L[a])
+        for a in range(grid.d)
+    ])
+    return [wall] + [
+        VectorField(grid, [c + e for c, e in zip(wall.components, eta.components)])
+        for eta in basis[:2]
+    ]
+
+
 def _block_ranges(n, blocks):
     edges = np.linspace(0, n, blocks + 1).astype(int)
     return [(edges[i], edges[i + 1]) for i in range(blocks)]
@@ -339,8 +318,10 @@ def compatibility_check(chi, slc, p):
     Checks the blockwise domination of the sharp perimeter by the slice
     mass (up to a calibrated mollification slack) and evaluates the two
     identity residuals pairing the oriented slice with the staircase
-    gradient, over the whole tangential basis and the three wall-flux test
-    fields respectively. The partition has four blocks per axis.
+    gradient: the worst over the whole `default_tangential_fields` basis,
+    and the worst over three wall-flux fields, a cosine profile whose
+    outward flux is cos(alpha) on every face and that profile plus each of
+    the first two basis fields. The partition has four blocks per axis.
     """
     grid = chi.domain
     vol = grid.cell_volume
@@ -379,10 +360,9 @@ def compatibility_check(chi, slc, p):
         rhs = velocity_pairing_field(chi, field)
         return p.c0 * abs(float(np.sum(lhs - rhs))) * vol / field_scale(field)
 
-    res_eta = max(oriented_residual(f) for f in default_tangential_fields(grid))
-    res_xi = max(
-        oriented_residual(f) for f in default_wall_normal_fields(grid, p)
-    )
+    basis = default_tangential_fields(grid)
+    res_eta = max(oriented_residual(f) for f in basis)
+    res_xi = max(oriented_residual(f) for f in _wall_flux_fields(grid, p, basis))
     return CompatibilityReport(ok, res_eta, res_xi)
 
 

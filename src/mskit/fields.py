@@ -226,24 +226,21 @@ def _face_probe_points(grid, axis, side, per_axis=7):
     return np.meshgrid(*coords, indexing="ij")
 
 
-def vector_from_callables(grid, fns, tangential=None):
+def vector_from_callables(grid, fns):
     """Sample analytic component functions fns[a](*meshes) at cell centers.
 
-    When `tangential` is None the functions themselves are probed on each
-    face: the normal component must vanish there (within 1e-10 of the field
-    scale) for the flag to be set.
+    The functions themselves are probed on each face: the field is
+    wall-tangential when every normal component vanishes there, within
+    1e-10 of the field scale.
     """
     meshes = grid.meshes()
     comps = [np.asarray(fn(*meshes), dtype=np.float64) + np.zeros(grid.shape) for fn in fns]
-    if tangential is None:
-        scale = max(1.0, max(float(np.max(np.abs(c))) for c in comps))
-        tangential = True
-        for a in range(grid.d):
-            for side in (0, 1):
-                pts = _face_probe_points(grid, a, side)
-                vals = np.asarray(fns[a](*pts), dtype=np.float64)
-                if np.max(np.abs(vals)) > 1e-10 * scale:
-                    tangential = False
+    scale = max(1.0, max(float(np.max(np.abs(c))) for c in comps))
+    tangential = all(
+        np.max(np.abs(np.asarray(fns[a](*_face_probe_points(grid, a, side)),
+                                 dtype=np.float64))) <= 1e-10 * scale
+        for a in range(grid.d) for side in (0, 1)
+    )
     return VectorField(grid, comps, tangential=tangential)
 
 

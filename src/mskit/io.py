@@ -5,11 +5,12 @@ hard errors so typos cannot silently fall back to defaults. CONFIG_KEYS is
 the one place a key is added: one row gives the record the value lands in,
 its field, parser and formatter, and parsing, building and `mskit info` all
 walk it; defaults live only in the dataclasses and the shipped scenarios.
-The ledger CSV columns are the fields of StepRecord. Fields are written,
-never read back, in a small self-describing binary format: the magic
-b"MSFLD1", then little-endian uint32 version, d and the d dims, then d
-float64 box lengths, then the float64 values in column-major (Fortran)
-order, so axis 0 varies fastest.
+The ledger CSV columns are the fields of StepRecord. Every float of a
+config or a ledger goes through `_finite`, which refuses nan and the
+infinities. Fields are written, never read back, in a small
+self-describing binary format: the magic b"MSFLD1", then little-endian
+uint32 version, d and the d dims, then d float64 box lengths, then the
+float64 values in column-major (Fortran) order, so axis 0 varies fastest.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -53,6 +54,13 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
+def _finite(text):
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError("not a finite number: %r" % text.strip())
+    return x
+
+
 def _g(x):
     return "%.17g" % x
 
@@ -66,7 +74,7 @@ def _join(fmt, sep=" "):
 
 
 def _parse_points(text):
-    return tuple(_list(float)(c) for c in text.split(";") if c.strip())
+    return tuple(_list(_finite)(c) for c in text.split(";") if c.strip())
 
 
 def _flag(value):
@@ -80,24 +88,24 @@ CONFIG_KEYS = {
     "scenario.kind": ("scenario", "kind", str.strip, str),
     "scenario.name": ("scenario", "name", str.strip, str),
     "scenario.dims": ("scenario", "dims", _list(int), _join(str)),
-    "scenario.lengths": ("scenario", "lengths", _list(float), _join(_g)),
+    "scenario.lengths": ("scenario", "lengths", _list(_finite), _join(_g)),
     "scenario.n_steps": ("scenario", "n_steps", int, str),
-    "energy.c0": ("params", "c0", float, _g),
-    "energy.alpha": ("params", "alpha", float, _g),
-    "step.h": ("step", "h", float, _g),
+    "energy.c0": ("params", "c0", _finite, _g),
+    "energy.alpha": ("params", "alpha", _finite, _g),
+    "step.h": ("step", "h", _finite, _g),
     "step.pd_max_iters": ("step", "pd_max_iters", int, str),
-    "step.pd_tol": ("step", "pd_tol", float, _g),
+    "step.pd_tol": ("step", "pd_tol", _finite, _g),
     "step.interpolant_samples": ("step", "interpolant_samples", int, str),
     "scenario.centers": (
         "scenario", "centers", _parse_points, _join(_join(_g), " ; "),
     ),
-    "scenario.radii": ("scenario", "radii", _list(float), _join(_g)),
-    "scenario.angle": ("scenario", "angle", float, _g),
-    "scenario.x_cut": ("scenario", "x_cut", float, _g),
+    "scenario.radii": ("scenario", "radii", _list(_finite), _join(_g)),
+    "scenario.angle": ("scenario", "angle", _finite, _g),
+    "scenario.x_cut": ("scenario", "x_cut", _finite, _g),
     "scenario.seed": ("scenario", "seed", int, str),
     "scenario.blob_count": ("scenario", "blob_count", int, str),
     "scenario.blob_radius_range": (
-        "scenario", "blob_radius_range", _list(float), _join(_g),
+        "scenario", "blob_radius_range", _list(_finite), _join(_g),
     ),
     "diagnostics.ledger": ("run", "ledger", _parse_bool, _flag),
     "diagnostics.snapshots": ("run", "snapshots", _parse_bool, _flag),
@@ -218,7 +226,7 @@ def read_ledger(path):
         row = {}
         for f, v in zip(columns, parts):
             try:
-                row[f.name] = f.type(v)
+                row[f.name] = (_finite if f.type is float else f.type)(v)
             except ValueError as exc:
                 raise ValueError("ledger CSV line %d: column %s: %s"
                                  % (lineno, f.name.rstrip("_"), exc)) from None

@@ -287,7 +287,11 @@ def component_masses(states):
 
 
 def default_scenarios(n=128):
-    """The shipped scenario set on an n-by-n unit square.
+    """The shipped scenario set on an n-by-n unit square, for n >= 17.
+
+    Below 17 cells the larger two_balls ball comes within two cells of
+    the wall at x = 0, and building its spec raises "shape out of bounds:
+    two_balls".
 
     `boundary_cap` and `random_blobs` ship at h = 1e-7, where no step moves
     a cell: they are stationary fixtures, not checks of motion. The cap's

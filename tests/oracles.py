@@ -32,6 +32,13 @@ projection that clamps the warm shift into the bracket before its first
 evaluation. The fused loop must repeat its iterates to rounding and its
 iteration counts exactly.
 
+tangential_fields_2d_ref is the 2-D test-field basis as it was built
+before one tapered-field rule served every dimension: the sine envelopes,
+the mixing fields, then a dilation and a rotation written out by hand,
+each with its own wall taper. It returns the sampled components of each
+of the 8 fields, which `energy.default_tangential_fields` must repeat bit
+for bit.
+
 supersampled is the original shape rasteriser: it evaluates an indicator
 once on the whole fine lattice of n^d points per cell, placed from the cell
 corners, and averages each cell's block. `fields.cell_average` places the
@@ -339,3 +346,41 @@ def supersampled(grid, indicator, n=4):
         shape.extend([grid.dims[a], n])
     fine = fine.reshape(shape)
     return fine.mean(axis=tuple(range(1, 2 * grid.d, 2)))
+
+
+def tangential_fields_2d_ref(grid):
+    """Components of the 8 fields of the 2-D test-field basis, per field."""
+    L = grid.lengths
+    X, Y = grid.meshes()
+    margin = 4.0 * max(grid.spacing)
+
+    def sample(fx, fy):
+        return tuple(np.asarray(f(X, Y), dtype=np.float64) + np.zeros(grid.shape)
+                     for f in (fx, fy))
+
+    def taper_profile(x, length):
+        t = np.clip(np.minimum(x, length - x) / margin, 0.0, 1.0)
+        return 0.5 - 0.5 * np.cos(np.pi * t)
+
+    def zero(x, y):
+        return np.zeros_like(x)
+
+    cx, cy = 0.5 * L[0], 0.5 * L[1]
+    return [
+        sample(lambda x, y: np.sin(np.pi * x / L[0]), zero),
+        sample(lambda x, y: np.sin(2 * np.pi * x / L[0]), zero),
+        sample(zero, lambda x, y: np.sin(np.pi * y / L[1])),
+        sample(zero, lambda x, y: np.sin(2 * np.pi * y / L[1])),
+        sample(lambda x, y: np.sin(np.pi * x / L[0]) * np.cos(np.pi * y / L[1]),
+               zero),
+        sample(zero,
+               lambda x, y: np.sin(np.pi * y / L[1]) * np.cos(np.pi * x / L[0])),
+        sample(lambda x, y: (np.ones_like(x) * taper_profile(x, L[0])
+                             * taper_profile(y, L[1])) * (x - cx),
+               lambda x, y: (np.ones_like(x) * taper_profile(x, L[0])
+                             * taper_profile(y, L[1])) * (y - cy)),
+        sample(lambda x, y: -(taper_profile(x, L[0]) * taper_profile(y, L[1]))
+               * (y - cy),
+               lambda x, y: (taper_profile(x, L[0]) * taper_profile(y, L[1]))
+               * (x - cx)),
+    ]

@@ -18,6 +18,7 @@ from mskit.energy import (
     PhaseField,
     default_tangential_fields,
     energy,
+    first_variation,
     interface_measure,
     mollification_width,
 )
@@ -242,6 +243,28 @@ class TestGibbsThomson:
         raw = VectorField(g, (np.ones(g.dims), np.zeros(g.dims)), tangential=False)
         with pytest.raises(ValueError, match="tangential"):
             gibbs_thomson_residual(chi, slc, zw, 0.0, P90, [raw])
+
+
+class TestSharedDefect:
+    @pytest.mark.parametrize("kind, row", [
+        ("ball", 0), ("two_balls", 0), ("two_balls", 1),
+    ])
+    def test_multiplier_closes_the_xi_defect(self, kind, row):
+        # the shipped 48^2 shapes at rest, and the moving row 1 of the
+        # `mskit check ledger` run: lambda is the ledger's, and w + lambda
+        # leaves no Gibbs-Thomson defect along xi
+        spec = next(s for s in default_scenarios(48) if s.kind == kind)
+        traj, led = _run(replace(spec, n_steps=2 if kind == "two_balls" else 0))
+        states = traj.states()
+        chi, anchor = states[row], states[max(row - 1, 0)]
+        eps = mollification_width(chi.domain)
+        slc = interface_measure(chi, eps)
+        xi = construct_xi(chi, eps)
+        w = potential_w(chi, anchor, spec.step.h)
+        lam = lagrange_multiplier(chi, slc, w, xi, spec.params)
+        assert lam == led.records[row].lambda_
+        res = gibbs_thomson_residual(chi, slc, w, lam, spec.params, [xi])
+        assert res <= 1e-12 * abs(first_variation(chi, slc, xi, spec.params))
 
 
 class TestLedgerTypes:

@@ -6,21 +6,20 @@ from mskit.energy import (
     EnergyParams,
     PhaseField,
     VarifoldSlice,
+    _wall_flux_fields,
     boundary_trace_integral,
     compatibility_check,
     constraint_integral,
     default_tangential_fields,
-    default_wall_normal_fields,
     energy,
     first_variation,
     interface_measure,
-    tapered_dilation,
     velocity_pairing_field,
 )
 from mskit.fields import ScalarField, make_grid, vector_from_callables
 
 import shapes
-from oracles import pair_velocity
+from oracles import pair_velocity, tangential_fields_2d_ref
 
 hyp = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -170,8 +169,7 @@ class TestFirstVariation:
         g = grid2(64)
         chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
         s = interface_measure(chi, 2 * g.spacing[0])
-        z = vector_from_callables(
-            g, [lambda x, y: np.zeros_like(x)] * 2, tangential=True)
+        z = vector_from_callables(g, [lambda x, y: np.zeros_like(x)] * 2)
         assert first_variation(chi, s, z, P90) == 0.0
 
     def test_requires_tangential(self):
@@ -204,7 +202,7 @@ class TestFirstVariation:
         g = grid2(128)
         chi = shapes.binary_disk(g, (0.5, 0.5), 0.25)
         s = interface_measure(chi, 2 * g.spacing[0])
-        B = tapered_dilation(g, (0.5, 0.5))
+        B = default_tangential_fields(g)[6]  # the dilation about (0.5, 0.5)
         dmu = first_variation(chi, s, B, P90)
         assert dmu == pytest.approx(s.density.integral(), rel=1e-10)
 
@@ -361,7 +359,45 @@ class TestCompatibility:
         # first cell column against the analytic profile
         g = grid2(32)
         p = EnergyParams(1.0, np.pi / 3)
-        xi0 = default_wall_normal_fields(g, p)[0]
+        basis = default_tangential_fields(g)
+        xi0, xi1, xi2 = _wall_flux_fields(g, p, basis)
         first_col = xi0.components[0][0, :]
         expect = -p.cos_alpha * np.cos(np.pi * g.cell_centers(0)[0])
         assert np.allclose(first_col, expect, atol=1e-12)
+        for xi, eta in ((xi1, basis[0]), (xi2, basis[1])):
+            for c, c0, e in zip(xi.components, xi0.components, eta.components):
+                assert np.array_equal(c, c0 + e)
+
+
+class TestTangentialBasis:
+    @pytest.mark.parametrize("dims, lengths", [
+        ((32, 32), (1.0, 1.0)), ((64, 64), (1.0, 1.0)), ((64, 32), (2.0, 1.0)),
+    ])
+    def test_2d_basis_repeats_the_hand_built_one(self, dims, lengths):
+        g = make_grid(dims, lengths)
+        basis = default_tangential_fields(g)
+        ref = tangential_fields_2d_ref(g)
+        assert len(basis) == len(ref) == 8
+        for k, (B, comps) in enumerate(zip(basis, ref)):
+            assert B.tangential, k
+            for c, r in zip(B.components, comps):
+                assert c.tobytes() == r.tobytes(), k
+
+    def test_3d_basis_has_a_rotation_per_plane(self):
+        # 6 sine envelopes, 3 mixing fields, the dilation, then one
+        # rotation per coordinate plane in the order (x, y), (x, z), (y, z);
+        # each rotation moves no energy of a centred ball
+        g = make_grid((24, 24, 24), (1.0, 1.0, 1.0))
+        basis = default_tangential_fields(g)
+        assert len(basis) == 13
+        assert all(B.tangential for B in basis)
+        chi = shapes.binary_disk(g, (0.5, 0.5, 0.5), 0.25)
+        s = interface_measure(chi, 2 * g.spacing[0])
+        dilation = basis[9].components
+        for B, (a, b) in zip(basis[10:], [(0, 1), (0, 2), (1, 2)]):
+            for c in set(range(3)) - {a, b}:
+                assert not B.components[c].any()
+            # the in-plane rotation (-r_b, r_a) under the dilation's taper
+            assert np.array_equal(B.components[a], -dilation[b])
+            assert np.array_equal(B.components[b], dilation[a])
+            assert abs(first_variation(chi, s, B, P90)) <= 1e-12

@@ -1,14 +1,29 @@
 """Config grammar, field persistence, ledger CSV, rasters, and the CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mskit.checks import CHECKS, LEDGER_CSV, Check
+from mskit.checks import (
+    CHECKS,
+    LEDGER_CSV,
+    Check,
+    _classical_verdicts,
+    _run,
+    _shipped,
+)
 from mskit.cli import main
 from mskit.diagnostics import Ledger, StepRecord
-from mskit.energy import PhaseField
+from mskit.energy import (
+    PhaseField,
+    compatibility_check,
+    interface_measure,
+    mollification_width,
+)
 from mskit.fields import ScalarField, make_grid
 from mskit.io import (
+    CONFIG_KEYS,
     ConfigError,
     LEDGER_HEADER,
     config_from_values,
@@ -20,7 +35,7 @@ from mskit.io import (
     render_snapshot,
     write_ledger,
 )
-from mskit.scenarios import KINDS
+from mskit.scenarios import KINDS, make_initial
 
 
 # configs whose geometry does not fit, with the message `info` and `run`
@@ -38,6 +53,25 @@ UNFIT_CONFIGS = [
                  "axis 1 has non-positive extent -1.0", id="lengths"),
 ]
 
+# every float key, with a value template whose one number is non-finite
+FLOAT_KEYS = {
+    "scenario.lengths": "1 {}",
+    "energy.c0": "{}",
+    "energy.alpha": "{}",
+    "step.h": "{}",
+    "step.pd_tol": "{}",
+    "scenario.centers": "0.5 0.5 ; {} 0.5",
+    "scenario.radii": "{}",
+    "scenario.angle": "{}",
+    "scenario.x_cut": "{}",
+    "scenario.blob_radius_range": "0.05 {}",
+}
+NON_FINITE = ("nan", "inf", "-inf")
+
+# a well-formed ledger row, and the names of its float columns (all but n)
+GOOD_ROW = "0,0,0.8,0.2,1,0,0,0.1,0,0,0,0.2"
+FLOAT_COLUMNS = LEDGER_HEADER.split(",")[1:]
+
 # ledger bodies after the header that read_ledger rejects, with the message
 MALFORMED_LEDGERS = [
     pytest.param("", "no rows", id="header_only"),
@@ -46,6 +80,15 @@ MALFORMED_LEDGERS = [
     pytest.param("0,0,0.8,0.2,1,0,0,0.1,0,0,0,x\n",
                  "line 2: column mass: could not convert string to float: 'x'",
                  id="non_numeric"),
+] + [
+    # one non-finite cell per float column, cycling nan, inf and -inf
+    pytest.param(
+        GOOD_ROW + "\n" + ",".join(
+            bad if i == k + 1 else cell
+            for i, cell in enumerate(GOOD_ROW.split(","))) + "\n",
+        "line 3: column %s: not a finite number: '%s'" % (name, bad),
+        id="non_finite_%s" % name)
+    for k, (name, bad) in enumerate(zip(FLOAT_COLUMNS, NON_FINITE * 4))
 ]
 
 
@@ -89,6 +132,17 @@ class TestConfigGrammar:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("step.h = fast\n")
+
+    def test_float_keys_listed(self):
+        # FLOAT_KEYS names exactly the keys that parse 1.5 into floats
+        parsed = {}
+        for key in CONFIG_KEYS:
+            try:
+                parsed[key] = parse_config_text("%s = 1.5\n" % key)[key]
+            except ConfigError:
+                continue
+        floats = {k for k, v in parsed.items() if not isinstance(v, str)}
+        assert floats == set(FLOAT_KEYS)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -350,6 +404,17 @@ class TestCLI:
         assert main(["info", "--config", str(bad)]) == 2
         assert "scenario.kine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, key, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario.kind = ball\n%s = %s\n"
+                       % (key, FLOAT_KEYS[key].format(bad)))
+        assert main(["info", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: bad value for %s: not a finite number: '%s'\n"
+            % (key, bad))
+
     def test_center_arity_exit_code(self, tmp_path, capsys):
         # the shipped two-coordinate ball centre on a 3-D grid is refused
         bad = tmp_path / "ball3d.cfg"
@@ -459,3 +524,48 @@ class TestCLI:
         ns = [r.n for r in ledger.records]
         assert ns == [0, 2, 4]
 
+
+# `ledger_two_balls.csv` as `mskit check ledger` writes it, every cell
+LEDGER_TWO_BALLS = """\
+0,0,2.0547378541243648,0,2.0547378541243648,0,0,5.8503694555300978,0.052001320535064517,0,0,0.13324652777777776
+1,0.00050000000000000001,1.4958122890254859,0,1.4958122890254859,1805.4398053752539,225.67997567190673,12.778383992861309,0.50119657876947432,0.99832835995476776,0.051145619837088763,0.13324652777777776
+2,0.001,1.4958122890254859,0,1.4958122890254859,0,0,4.4901965777809512,0.030076474566723608,0.50540180331370843,0.051145619837088763,0.13324652777777776
+"""
+
+
+class TestSuitePins:
+    """The audit numbers the suites print, pinned at rel 1e-12."""
+
+    @pytest.mark.parametrize("name, residuals", [
+        ("ball", (1.3398239385823008e-3, 1.3378501113719943e-3)),
+        ("stripe", (6.063242027463776e-4, 6.072178291695698e-4)),
+    ])
+    def test_compat_identity_residuals(self, name, residuals):
+        spec = _shipped(64)[name]
+        chi = make_initial(spec)
+        slc = interface_measure(chi, mollification_width(chi.domain))
+        rep = compatibility_check(chi, slc, spec.params)
+        got = (rep.comp_identity_residual, rep.wall_identity_residual)
+        assert got == pytest.approx(residuals, rel=1e-12)
+
+    def test_gt_contraction_residuals(self):
+        got = [_run(replace(_shipped(n)["ball"], n_steps=0))[1].records[0].gt_residual
+               for n in (48, 96)]
+        assert got == pytest.approx([1.1704923842067852e-2, 9.318696652887974e-3],
+                                    rel=1e-12)
+
+    def test_ledger_two_balls_cells(self, suite_records):
+        lines = open(suite_records[1] / LEDGER_CSV).read().splitlines()
+        assert lines[0] == LEDGER_HEADER
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        expect = [[float(v) for v in ln.split(",")]
+                  for ln in LEDGER_TWO_BALLS.splitlines()]
+        assert len(rows) == len(expect)
+        for row, ref in zip(rows, expect):
+            assert row == pytest.approx(ref, rel=1e-12)
+
+    def test_classical_verdicts_need_a_rule(self):
+        cap = _shipped(32)["boundary_cap"]
+        with pytest.raises(ValueError, match="no classical rule for kind "
+                                             "'boundary_cap'"):
+            _classical_verdicts(cap, [make_initial(cap)])
