@@ -34,6 +34,14 @@ from .energy import (
 NORMALIZER_FLOOR = 1e-6
 
 
+def _normalizer(chi, xi):
+    """Integral chi div(xi), refused below NORMALIZER_FLOOR (degenerate xi)."""
+    denom = constraint_integral(chi, xi)
+    if denom < NORMALIZER_FLOOR:
+        raise ValueError("degenerate multiplier normalizer")
+    return denom
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One ledger row. lambda_ carries the mass-constraint multiplier."""
@@ -112,8 +120,7 @@ def construct_xi(chi, eps):
     smoothed = mollify(chi.values, grid, eps)
     phi = neumann_solve(MeanZeroField(grid, smoothed - smoothed.mean()))
     xi = VectorField(grid, grad_centered(phi.values, grid), tangential=True)
-    if constraint_integral(chi, xi) < NORMALIZER_FLOOR:
-        raise ValueError("degenerate multiplier normalizer")
+    _normalizer(chi, xi)
     return xi
 
 
@@ -127,10 +134,7 @@ def _gt_defect(chi, slc, f, B, p):
 def lagrange_multiplier(chi, slc, w, xi, p):
     """The mass multiplier: the defect of w along xi over integral chi div xi,
     the constant that leaves w + lambda no defect along xi."""
-    denom = constraint_integral(chi, xi)
-    if denom < NORMALIZER_FLOOR:
-        raise ValueError("degenerate multiplier normalizer")
-    return _gt_defect(chi, slc, w.values, xi, p) / denom
+    return _gt_defect(chi, slc, w.values, xi, p) / _normalizer(chi, xi)
 
 
 def gibbs_thomson_residual(chi, slc, w, lam, p, basis):

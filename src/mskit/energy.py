@@ -43,8 +43,8 @@ class EnergyParams:
     alpha: float
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise ValueError("surface tension c0 must be positive")
+        if not 0.0 < self.c0 < math.inf:
+            raise ValueError("surface tension c0 must be positive and finite")
         if not (0.0 < self.alpha <= np.pi / 2):
             raise ValueError(
                 "contact angle alpha must lie in (0, pi/2], got %g" % self.alpha

@@ -26,7 +26,7 @@ from .energy import (
     mollification_width,
     velocity_pairing_field,
 )
-from .diagnostics import construct_xi
+from .diagnostics import _normalizer, construct_xi
 
 _MASS_BISECT_STEPS = 80
 _CFL_FRACTION = 0.1
@@ -203,10 +203,7 @@ def project_to_S_chi(B_raw, chi, xi):
     """
     if not B_raw.tangential:
         raise ValueError("flow needs a wall-tangential field")
-    denom = constraint_integral(chi, xi)
-    if abs(denom) < 1e-10 * (1.0 + xi.max_norm()):
-        raise ValueError("degenerate multiplier normalizer")
-    factor = constraint_integral(chi, B_raw) / denom
+    factor = constraint_integral(chi, B_raw) / _normalizer(chi, xi)
     comps = [
         B_raw.components[a] - factor * xi.components[a]
         for a in range(chi.domain.d)
@@ -247,7 +244,7 @@ def flow_deform(chi, B, s):
     # the pairing of xi is positive, so mass grows along its flow; `short`
     # is the parameter whose miss has the sign of drift (sigma = 0 first),
     # `over` the first found on the other side of the target
-    sigma = -drift / max(abs(constraint_integral(chi, xi)), 1e-12)
+    sigma = -drift / _normalizer(chi, xi)
     short, over = 0.0, None
     best = drift
     for _ in range(_MASS_BISECT_STEPS):

@@ -7,13 +7,13 @@ The inner problem is convex; a primal-dual splitting (gradient on the
 smooth nonlocal penalty, proximal handling of the total-variation term,
 projection onto the box-and-mass set) solves it to a relative residual,
 and a mass-rank threshold maps the minimizer back to an indicator field.
-The projection is a continuous quadratic knapsack, solved exactly by a
-breakpoint method warm started from the previous iteration's shift
-(Kiwiel 2008): up to four Newton evaluations, then a sorted sweep only if
-they have not landed. Each PD iteration pays for 1.66 (ripening step and
-interpolants) to 2.28 (stiff cap) clipped sums on the benchmark steps and,
-in practice, no sort; the bracket [-max v, 1 - min v] is computed only
-when the first sum misses, which a third of the ripening projections skip.
+The projection is a continuous quadratic knapsack, solved by Newton
+steps from the previous iteration's shift (Kiwiel 2008): up to four
+evaluations, then a bisection only if they have not landed. Each PD
+iteration pays for 1.66 (ripening step and interpolants) to 2.28 (stiff
+cap) clipped sums on the benchmark steps and, in practice, no bisection;
+the bracket [-max v, 1 - min v] is computed only when the first sum
+misses, which a third of the ripening projections skip.
 The over-relaxation (factor 1.5) is written x_hat + 0.5 (x_hat - x): a
 cell clipped to 0 then halves exactly to 0 instead of cycling at +-1 ulp
 of the smallest subnormal, where every operation on u runs slowly.
@@ -45,7 +45,7 @@ converges from any starting pair (Chambolle & Pock 2011), so the warm
 start changes the cost of a solve, not the problem it solves.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,8 @@ class StepConfig:
     interpolant_samples: int = 0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("time step h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("time step h must be positive and finite")
         if self.pd_max_iters < 100:
             raise ValueError("pd_max_iters must be at least 100")
         if not (0.0 < self.pd_tol <= 1e-3):
@@ -91,17 +91,11 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Inner-solver bookkeeping of one relaxed solve.
-
-    `end` is the solve's final (u_hat, y_hat, shift): primal iterate, dual
-    iterate and projection shift, the warm start of a solve on the same
-    anchor at a larger tau. run_trajectory drops it from stored records.
-    """
+    """Inner-solver bookkeeping of one relaxed solve."""
 
     iters: int
     converged: bool
     residual: float
-    end: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -144,10 +138,11 @@ def _project_box_mass(v, mean_target, shift, out=None, work=None):
     one-sided slope towards the root, so a step that stays on the root's
     linear piece lands on it exactly. Every evaluation shrinks the bracket.
     When four evaluations have not landed, or a step would leave the
-    bracket, a sweep over the breakpoints inside the bracket, sorted,
-    finds the root's linear piece and solves it exactly. Within a PD solve
-    the warm shift is close and four evaluations land every call of the
-    benchmark steps; with two, up to 28% of the calls paid for the sort.
+    bracket, the bracket is bisected until an evaluation lands or no double
+    lies strictly inside it, and the last evaluation is returned. Within a
+    PD solve the warm shift is close and four evaluations land every call
+    of the program; the bisection, at 35 to 70 evaluations, is the
+    fallback for arbitrary input.
 
     The first evaluation is at `shift` itself, and the bracket is computed
     only when it misses. Outside the bracket every cell clips to the same
@@ -179,7 +174,6 @@ def _project_box_mass(v, mean_target, shift, out=None, work=None):
         return u, s
     lo = -float(np.maximum.reduce(v, axis=None))
     hi = 1.0 - float(np.minimum.reduce(v, axis=None))
-    f_lo = -target
     if not lo <= s <= hi:
         s = min(max(s, lo), hi)
         r = clipped_sum(s)
@@ -187,46 +181,25 @@ def _project_box_mass(v, mean_target, shift, out=None, work=None):
     for evals in range(1, 5):
         if abs(r) <= tol:
             return u, s
-        # the slope is the count of free cells on the side of the root
+        # slope: free cells on the root's side, an int so that s stays a Python float
         if r < 0.0:
-            lo, f_lo = s, r
-            slope = (np.count_nonzero(np.greater_equal(w, 0.0, out=mask))
-                     - np.count_nonzero(np.greater_equal(w, 1.0, out=mask)))
+            lo = s
+            slope = int(np.count_nonzero(np.greater_equal(w, 0.0, out=mask))
+                        - np.count_nonzero(np.greater_equal(w, 1.0, out=mask)))
         else:
             hi = s
-            slope = (np.count_nonzero(np.greater(w, 0.0, out=mask))
-                     - np.count_nonzero(np.greater(w, 1.0, out=mask)))
-        if slope == 0:
+            slope = int(np.count_nonzero(np.greater(w, 0.0, out=mask))
+                        - np.count_nonzero(np.greater(w, 1.0, out=mask)))
+        if evals == 4 or slope == 0 or not lo < s - r / slope < hi:
             break
         s -= r / slope
-        if not lo < s < hi or evals == 4:
-            break
         r = clipped_sum(s)
-    s = _sweep_root(v, lo, f_lo, hi)
-    clipped_sum(s)  # u = clip(v + s)
+    # bisection until an evaluation lands or no double lies inside the bracket
+    while abs(r) > tol and lo < 0.5 * (lo + hi) < hi:
+        s = 0.5 * (lo + hi)
+        r = clipped_sum(s)
+        lo, hi = (s, hi) if r < 0.0 else (lo, s)
     return u, s
-
-
-def _sweep_root(v, lo, f_lo, hi):
-    """Root of the clipped sum in (lo, hi), given its value f_lo at lo.
-
-    Walks the breakpoints strictly inside the bracket in order, tracking
-    the slope (+1 where a cell leaves 0, -1 where it reaches 1) and the
-    value of f at each breakpoint; the root lies on the last linear piece
-    that starts below zero.
-    """
-    enter = -v[(v > -hi) & (v < -lo)]
-    leave = 1.0 - v[(v > 1.0 - hi) & (v < 1.0 - lo)]
-    points = np.concatenate((enter, leave))
-    order = np.argsort(points, kind="stable")
-    xs = np.concatenate(([lo], points[order]))
-    turns = np.concatenate((np.ones(enter.size), -np.ones(leave.size)))[order]
-    # slope just right of lo: cells with 0 <= v + lo < 1
-    slope_lo = np.count_nonzero((v >= -lo) & (v < 1.0 - lo))
-    slopes = slope_lo + np.concatenate(([0.0], np.cumsum(turns)))
-    f = f_lo + np.concatenate(([0.0], np.cumsum(slopes[:-1] * np.diff(xs))))
-    k = max(int(np.searchsorted(f, 0.0)) - 1, 0)
-    return float(xs[k] - f[k] / slopes[k])
 
 
 def _dual_init(chi, grid, c0):
@@ -258,10 +231,11 @@ def _clip_dual(y, c0, sq, mag):
 def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     """Primal-dual iteration for the relaxed movement-penalized problem.
 
-    Returns the relaxed minimizer at penalty time tau and its SolveInfo.
-    Without `start` the iteration begins cold, at u = chi_prev with the
-    dual at the total-variation subgradient of chi_prev; with it, at the
-    `end` of an earlier solve on the same anchor (copied, not modified).
+    Returns (relaxed minimizer at penalty time tau, SolveInfo, end), end
+    being the final (u_hat, y_hat, shift). Without `start` the iteration
+    begins cold, at u = chi_prev with the dual at the total-variation
+    subgradient of chi_prev; with it, at the end of an earlier solve on the
+    same anchor (copied, not modified).
     Works in objective-density units (energies divided by the domain
     volume) so the step sizes are resolution-independent scalars. The
     nonlocal penalty enters through its gradient, one inverse-Laplacian
@@ -352,9 +326,8 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
         x += x_hat
 
     out = PhaseField(grid, u_hat, m0=chi_prev.m0)
-    info = SolveInfo(iters=iters, converged=converged, residual=float(residual),
-                     end=(u_hat, y_hat, shift))
-    return out, info
+    info = SolveInfo(iters=iters, converged=converged, residual=float(residual))
+    return out, info, (u_hat, y_hat, shift)
 
 
 def mass_threshold(u):
@@ -404,13 +377,13 @@ def _select_binary(cand, anchor, tau, p):
 def _step(chi_anchor, tau, p, cfg, start=None):
     """Relaxed solve at penalty time tau, mass threshold, binary selection.
 
-    Returns (chi_next, binary objective, relaxed minimizer, SolveInfo).
+    Returns (chi_next, binary objective, relaxed minimizer, SolveInfo, end).
     """
-    relaxed, info = _solve_relaxed(chi_anchor, tau, p, cfg, start)
+    relaxed, info, end = _solve_relaxed(chi_anchor, tau, p, cfg, start)
     chi_next, obj_binary = _select_binary(
         mass_threshold(relaxed), chi_anchor, tau, p
     )
-    return chi_next, obj_binary, relaxed, info
+    return chi_next, obj_binary, relaxed, info, end
 
 
 def mm_step(chi_prev, p, cfg, start=None):
@@ -419,10 +392,10 @@ def mm_step(chi_prev, p, cfg, start=None):
     The binary output is the better of the thresholded candidate and
     chi_prev itself, measured by the full movement-penalized objective;
     see _select_binary. The relaxation gap is the binary objective minus
-    the relaxed one. `start`, if given, is the `end` of an earlier solve on
+    the relaxed one. `start`, if given, is the end of an earlier solve on
     chi_prev, from which the PD iteration begins instead of cold.
     """
-    chi_next, obj_binary, relaxed, info = _step(chi_prev, cfg.h, p, cfg, start)
+    chi_next, obj_binary, relaxed, info, _end = _step(chi_prev, cfg.h, p, cfg, start)
     obj_relaxed = _objective(relaxed, chi_prev, cfg.h, p)
     return StepResult(
         chi_next=chi_next,
@@ -436,19 +409,19 @@ def mm_step(chi_prev, p, cfg, start=None):
 def de_giorgi_interpolant(chi_anchor, tau, p, cfg, start=None):
     """State after a partial step of length tau in (0, h]: _step at tau.
 
-    Called with the same `start` (see mm_step), the tau = h sample
-    reproduces the mm_step output bit for bit. The returned field carries
-    the solver record in its `pd_info` attribute (iterations, convergence
-    flag, final relative residual, and the end state that warm starts the
-    next tau); a kept anchor comes back as a fresh copy.
+    Returns (field, end), where end (see _solve_relaxed) starts the next tau.
+    Called with the same `start` (see mm_step), the tau = h field
+    reproduces the mm_step output bit for bit. It carries the solver record
+    (iterations, convergence flag, final relative residual) in its
+    `pd_info` attribute; a kept anchor comes back as a fresh copy.
     """
     if tau > cfg.h:
         raise ValueError("interpolation time tau must not exceed the step h")
-    out, _obj, _relaxed, info = _step(chi_anchor, tau, p, cfg, start)
+    out, _obj, _relaxed, info, end = _step(chi_anchor, tau, p, cfg, start)
     if out is chi_anchor:
         out = PhaseField(out.domain, out.values, m0=out.m0)
     out.pd_info = info
-    return out
+    return out, end
 
 
 def _require_converged(converged, iters, n, tau, cfg):
@@ -469,8 +442,7 @@ def run_trajectory(chi0, p, cfg, n_steps):
     (tau, field) snapshot, step after step: step n's samples are the n-th
     block of S-1. The solves of one step run in increasing tau,
     as a continuation: tau = h/S starts cold, and every later one, the step
-    at tau = h last, starts from the end state of the one before. Stored
-    snapshots keep their solver record without that end state.
+    at tau = h last, starts from the end state of the one before.
 
     When a step reproduces its anchor exactly the map has reached a fixed
     point, and determinism makes every later step a verbatim repeat; the
@@ -489,11 +461,9 @@ def run_trajectory(chi0, p, cfg, n_steps):
         S = cfg.interpolant_samples
         for j in range(1, S):
             tau_j = cfg.h * j / S
-            snap = de_giorgi_interpolant(chi, tau_j, p, cfg, start=start)
+            snap, start = de_giorgi_interpolant(chi, tau_j, p, cfg, start=start)
             info = snap.pd_info
             _require_converged(info.converged, info.iters, n + 1, tau_j, cfg)
-            start = info.end
-            snap.pd_info = replace(info, end=None)
             snaps.append((tau_j, snap))
         res = mm_step(chi, p, cfg, start=start)
         _require_converged(res.converged, res.pd_iters, n + 1, cfg.h, cfg)

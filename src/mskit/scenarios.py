@@ -117,13 +117,17 @@ def _blob_layout(spec):
 def _balls(spec, clear):
     """Checked (center, radius) list of a kind whose phase is a union of balls.
 
-    The cap is the ball of radius R centred R cos(angle) below the bottom
-    wall, so it meets the wall at interior angle `angle`. In 3-D its centre
-    sits mid-box along the third axis, which makes it a spherical cap.
+    Every kind needs one ball or more, all of positive radius (blob radii
+    from 0 < lo <= hi). The cap is the ball of radius R centred R cos(angle)
+    below the bottom wall, so it meets the wall at interior angle `angle`.
+    In 3-D its centre sits mid-box along the third axis: a spherical cap.
     """
     if spec.kind == "random_blobs":
-        return _blob_layout(spec)
-    if spec.kind == "boundary_cap":
+        r_lo, r_hi = spec.blob_radius_range
+        if not 0.0 < r_lo <= r_hi:
+            raise ValueError("shape out of bounds: blob radii need 0 < lo <= hi")
+        balls = _blob_layout(spec)
+    elif spec.kind == "boundary_cap":
         R, angle = spec.radii[0], spec.angle
         xc = spec.centers[0][0] if spec.centers else 0.5 * spec.lengths[0]
         centre = (xc, -R * np.cos(angle)) + tuple(0.5 * L for L in spec.lengths[2:])
@@ -134,16 +138,21 @@ def _balls(spec, clear):
                 c - half_w < clear or c + half_w > L - clear
                 for a, (c, L) in enumerate(zip(centre, spec.lengths)) if a != 1):
             raise ValueError("shape out of bounds: boundary_cap")
-        return [(centre, R)]
-    balls = list(zip(spec.centers, spec.radii))
-    for c, R in balls:
-        for a, L in enumerate(spec.lengths):
-            if c[a] - R - clear < 0.0 or c[a] + R + clear > L:
-                raise ValueError("shape out of bounds: %s" % spec.kind)
-    if len(balls) == 2:
-        (c1, R1), (c2, R2) = balls
-        if np.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2))) < R1 + R2 + clear:
-            raise ValueError("shape out of bounds: balls overlap")
+        balls = [(centre, R)]
+    else:
+        balls = list(zip(spec.centers, spec.radii))
+        for c, R in balls:
+            for a, L in enumerate(spec.lengths):
+                if c[a] - R - clear < 0.0 or c[a] + R + clear > L:
+                    raise ValueError("shape out of bounds: %s" % spec.kind)
+        if len(balls) == 2:
+            (c1, R1), (c2, R2) = balls
+            if np.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2))) < R1 + R2 + clear:
+                raise ValueError("shape out of bounds: balls overlap")
+    # the fit tests above read a negative radius as a smaller shape
+    if not balls or not all(R > 0.0 for _c, R in balls):
+        raise ValueError("shape out of bounds: %s needs balls of positive radius"
+                         % spec.kind)
     return balls
 
 

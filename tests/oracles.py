@@ -29,8 +29,9 @@ components, the step constants applied one pass at a time, the dual clip
 by a masked division and a residual check that allocates. It runs on the
 reference kernels above, and on project_box_mass_ref, the box-and-mass
 projection that clamps the warm shift into the bracket before its first
-evaluation. The fused loop must repeat its iterates to rounding and its
-iteration counts exactly.
+evaluation; newton_phase_ref is its part before any bisection. The fused
+loop must repeat its iterates to rounding and its iteration counts
+exactly.
 
 tangential_fields_2d_ref is the 2-D test-field basis as it was built
 before one tapered-field rule served every dimension: the sine envelopes,
@@ -205,33 +206,58 @@ def grad_forward_adjoint_ref(ps, grid):
     return out
 
 
-def project_box_mass_ref(v, mean_target, shift):
-    """Box-and-mass projection, the warm shift clamped into the bracket first."""
-    n = v.size
-    target = mean_target * n
-    tol = minmov._MEAN_TOL * n
+def newton_phase_ref(v, mean_target, shift):
+    """The Newton evaluations of the box-and-mass projection, at most four.
+
+    They start from the warm shift clamped into the bracket
+    [-max v, 1 - min v] and step with the one-sided slope towards the
+    root. Returns (landed, u, s, lo, hi): whether the last evaluation
+    landed, its u = clip(v + s) and s, and the bracket left after it.
+    """
+    target = mean_target * v.size
+    tol = minmov._MEAN_TOL * v.size
     lo, hi = -float(v.max()), 1.0 - float(v.min())
-    f_lo = -target
     s = min(max(shift, lo), hi)
-    for _ in range(4):
+    for evals in range(1, 5):
         w = v + s
         u = np.clip(w, 0.0, 1.0)
         r = float(u.sum()) - target
         if abs(r) <= tol:
-            return u, s
+            return True, u, s, lo, hi
         if r < 0.0:
-            lo, f_lo = s, r
+            lo = s
             slope = np.count_nonzero((w >= 0.0) & (w < 1.0))
         else:
             hi = s
             slope = np.count_nonzero((w > 0.0) & (w <= 1.0))
-        if slope == 0:
+        if evals == 4 or slope == 0 or not lo < s - r / slope < hi:
             break
         s -= r / slope
-        if not lo < s < hi:
+    return False, u, s, lo, hi
+
+
+def project_box_mass_ref(v, mean_target, shift):
+    """Box-and-mass projection, the warm shift clamped into the bracket first.
+
+    The Newton phase, then bisection of its bracket until an evaluation
+    lands or the bracket ends are adjacent doubles.
+    """
+    landed, u, s, lo, hi = newton_phase_ref(v, mean_target, shift)
+    target = mean_target * v.size
+    tol = minmov._MEAN_TOL * v.size
+    while not landed:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-    s = minmov._sweep_root(v, lo, f_lo, hi)
-    return np.clip(v + s, 0.0, 1.0), s
+        s = mid
+        u = np.clip(v + s, 0.0, 1.0)
+        r = float(u.sum()) - target
+        landed = abs(r) <= tol
+        if r < 0.0:
+            lo = s
+        else:
+            hi = s
+    return u, s
 
 
 def _clip_dual_ref(ys, c0, mag, factor):
@@ -247,7 +273,7 @@ def _clip_dual_ref(ys, c0, mag, factor):
 
 
 def solve_relaxed_ref(chi_prev, tau, p, cfg, start=None):
-    """The unfused primal-dual loop; returns (relaxed field, SolveInfo)."""
+    """The unfused primal-dual loop; returns (relaxed field, SolveInfo, end)."""
     grid = chi_prev.domain
     chi = chi_prev.values
     mean_target = chi_prev.m0 / grid.volume
@@ -328,8 +354,8 @@ def solve_relaxed_ref(chi_prev, tau, p, cfg, start=None):
 
     out = PhaseField(grid, u, m0=chi_prev.m0)
     info = minmov.SolveInfo(iters=iters, converged=converged,
-                            residual=float(residual), end=(u_hat, y_hat, shift))
-    return out, info
+                            residual=float(residual))
+    return out, info, (u_hat, y_hat, shift)
 
 
 def supersampled(grid, indicator, n=4):

@@ -44,6 +44,11 @@ class TestYoung:
         with pytest.raises(ValueError, match="contact angle"):
             EnergyParams(1.0, 2.0)
 
+    @pytest.mark.parametrize("c0", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_params_c0_positive_finite(self, c0):
+        with pytest.raises(ValueError, match="c0 must be positive and finite"):
+            EnergyParams(c0, 1.0)
+
 
 class TestPhaseField:
     def test_range_enforced(self):

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mskit import flows
-from mskit.diagnostics import gibbs_thomson_residual, lagrange_multiplier, potential_w
+from mskit import diagnostics, flows
+from mskit.diagnostics import (
+    NORMALIZER_FLOOR,
+    gibbs_thomson_residual,
+    lagrange_multiplier,
+    potential_w,
+)
 from mskit.energy import (
+    EnergyParams,
     compatibility_check,
     constraint_integral,
     default_tangential_fields,
@@ -395,6 +401,58 @@ class TestProjection:
         xi = construct_xi(disk64, 4.0 / 64)
         with pytest.raises(ValueError, match="tangential"):
             project_to_S_chi(raw, disk64, xi)
+
+
+def with_pairing(xi, chi, pairing):
+    """xi rescaled so that its volume pairing with chi is `pairing`."""
+    k = pairing / constraint_integral(chi, xi)
+    return VectorField(xi.domain, [k * c for c in xi.components], tangential=True)
+
+
+class TestNormalizerFloor:
+    """Every direction field xi is refused at one floor: a volume pairing
+    integral chi div(xi) below NORMALIZER_FLOOR."""
+
+    BELOW, ABOVE = 0.5 * NORMALIZER_FLOOR, 2.0 * NORMALIZER_FLOOR
+
+    def test_construct_xi(self, disk64, monkeypatch):
+        pairing = constraint_integral(disk64, construct_xi(disk64, 4.0 / 64))
+        grad = diagnostics.grad_centered
+        for target in (self.BELOW, self.ABOVE):
+            monkeypatch.setattr(diagnostics, "grad_centered", lambda v, g: [
+                target / pairing * c for c in grad(v, g)])
+            if target < NORMALIZER_FLOOR:
+                with pytest.raises(ValueError, match="degenerate multiplier normalizer"):
+                    construct_xi(disk64, 4.0 / 64)
+            else:
+                xi = construct_xi(disk64, 4.0 / 64)
+                assert constraint_integral(disk64, xi) == pytest.approx(target)
+
+    def test_lagrange_multiplier(self, disk64):
+        xi = construct_xi(disk64, 4.0 / 64)
+        slc = interface_measure(disk64, 4.0 / 64)
+        zw = MeanZeroField(disk64.domain, np.zeros(disk64.domain.shape))
+        p = EnergyParams(1.0, np.pi / 2)
+        with pytest.raises(ValueError, match="degenerate multiplier normalizer"):
+            lagrange_multiplier(disk64, slc, zw, with_pairing(xi, disk64, self.BELOW), p)
+        assert np.isfinite(lagrange_multiplier(
+            disk64, slc, zw, with_pairing(xi, disk64, self.ABOVE), p))
+
+    def test_project_to_S_chi(self, disk64, dictionary64):
+        xi = construct_xi(disk64, 4.0 / 64)
+        with pytest.raises(ValueError, match="degenerate multiplier normalizer"):
+            project_to_S_chi(dictionary64[6], disk64, with_pairing(xi, disk64, self.BELOW))
+        out = project_to_S_chi(dictionary64[6], disk64, with_pairing(xi, disk64, self.ABOVE))
+        assert abs(constraint_integral(disk64, out)) <= 1e-10
+
+    def test_flow_deform(self, check_flows_case, monkeypatch):
+        # the mass correction flows along xi, which the deformation builds
+        chi, B = check_flows_case
+        xi = construct_xi(chi, mollification_width(chi.domain))
+        monkeypatch.setattr(flows, "construct_xi",
+                            lambda chi, eps: with_pairing(xi, chi, self.BELOW))
+        with pytest.raises(ValueError, match="degenerate multiplier normalizer"):
+            flow_deform(chi, B, 0.08)
 
 
 class TestFlowMapGeometry:

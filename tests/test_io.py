@@ -45,6 +45,22 @@ UNFIT_CONFIGS = [
                  "shape out of bounds: ball", id="ball_radius"),
     pytest.param("scenario.kind = two_balls\nscenario.centers = 0.3 0.5 ; 0.4 0.5\n",
                  "shape out of bounds: balls overlap", id="two_balls_overlap"),
+    pytest.param("scenario.kind = ball\nscenario.radii = -0.25\n",
+                 "shape out of bounds: ball needs balls of positive radius",
+                 id="ball_negative_radius"),
+    pytest.param("scenario.kind = two_balls\nscenario.radii = -0.18 -0.10\n"
+                 "scenario.centers = 0.4 0.5 ; 0.6 0.5\n",
+                 "shape out of bounds: two_balls needs balls of positive radius",
+                 id="two_balls_negative_radii"),
+    pytest.param("scenario.kind = boundary_cap\nscenario.radii = -0.25\n",
+                 "shape out of bounds: boundary_cap needs balls of positive radius",
+                 id="cap_negative_radius"),
+    pytest.param("scenario.kind = random_blobs\nscenario.blob_radius_range = -0.12 -0.08\n",
+                 "shape out of bounds: blob radii need 0 < lo <= hi",
+                 id="blob_negative_radii"),
+    pytest.param("scenario.kind = random_blobs\nscenario.blob_count = -3\n",
+                 "shape out of bounds: random_blobs needs balls of positive radius",
+                 id="blob_negative_count"),
     pytest.param("scenario.kind = stripe\nscenario.x_cut = 0.999\n",
                  "shape out of bounds: stripe cut", id="stripe_cut"),
     pytest.param("scenario.dims = 4 4\n",

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -53,6 +53,11 @@ class TestStepConfig:
         with pytest.raises(ValueError, match="h must be positive"):
             StepConfig(h=0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            StepConfig(h=h)
+
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="at least 100"):
             StepConfig(h=1e-4, pd_max_iters=50)
@@ -95,16 +100,27 @@ def reference_shift_interval(v, frac):
     return a, b
 
 
-def count_sweeps(monkeypatch):
-    """Patch the projection's sorted sweep to log its calls; returns the log."""
+def count_bisections(monkeypatch):
+    """Wrap the projection to log the calls its Newton phase does not land.
+
+    A call the oracle's Newton phase lands must return the same (u, s)
+    bit for bit. Returns the log of the other calls' warm shifts.
+    """
     calls = []
-    sweep = mv._sweep_root
+    project = mv._project_box_mass
 
-    def logged(*args):
-        calls.append(args)
-        return sweep(*args)
+    def checked(v, mean_target, shift, out=None, work=None):
+        landed, u_ref, s_ref, _lo, _hi = oracles.newton_phase_ref(
+            v, mean_target, shift)
+        u, s = project(v, mean_target, shift, out=out, work=work)
+        if landed:
+            assert s == s_ref
+            np.testing.assert_array_equal(u, u_ref)
+        else:
+            calls.append(shift)
+        return u, s
 
-    monkeypatch.setattr(mv, "_sweep_root", logged)
+    monkeypatch.setattr(mv, "_project_box_mass", checked)
     return calls
 
 
@@ -164,26 +180,38 @@ class TestProjection:
         assert abs(float(u.mean()) - frac) <= 1e-12
         np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
 
-    def test_far_shift_falls_back_to_sweep(self, monkeypatch):
+    def test_far_shift_falls_back_to_bisection(self):
         # a warm shift far outside the bracket restarts Newton at a bracket
-        # end, where the evaluations often fail to land: the sorted sweep
-        # must still run there and find the reference root
-        sweeps = count_sweeps(monkeypatch)
-        swept = []
+        # end, where the four evaluations often fail to land: the bisection
+        # must run there and still find the reference root
+        bisected = []
 
         @given(projection_inputs(wheres=("far",)))
         @settings(max_examples=50, deadline=None, derandomize=True)
         def check(inputs):
             v, frac, shift = inputs
-            before = len(sweeps)
             a, b = reference_shift_interval(v, frac)
             u, s = mv._project_box_mass(v, frac, shift)
             assert a - 1e-12 <= s <= b + 1e-12
             np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
-            swept.append(len(sweeps) > before)
+            bisected.append(not oracles.newton_phase_ref(v, frac, shift)[0])
 
         check()
-        assert any(swept)
+        assert any(bisected)
+
+    def test_bisection_stops_without_a_double_left(self):
+        # the root s = 629.555 is not reachable to the landing tolerance: one
+        # ulp of s moves the clipped sum by 1.1e-13 against a tolerance of
+        # 1e-14, so the bisection ends on adjacent doubles around it
+        v = np.array([0.5] * 9 + [-628.9])
+        frac = 0.9655
+        assert not oracles.newton_phase_ref(v, frac, 0.0)[0]
+        a, b = reference_shift_interval(v, frac)
+        u, s = mv._project_box_mass(v, frac, 0.0)
+        assert a - 1e-12 <= s <= b + 1e-12
+        assert abs(float(u.mean()) - frac) <= 1e-12
+        np.testing.assert_array_equal(u, np.clip(v + s, 0.0, 1.0))
+        assert np.nextafter(s, -np.inf) <= a and b <= np.nextafter(s, np.inf)
 
     @given(projection_inputs(wheres=("outside", "far")))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -271,7 +299,7 @@ class TestSolveRelaxed:
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u, info = mv._solve_relaxed(chi, cfg.h, P, cfg)
+        u, info, _end = mv._solve_relaxed(chi, cfg.h, P, cfg)
         assert u.values.min() >= 0.0 and u.values.max() <= 1.0
         assert abs(u.values.mean() * g.volume - chi.m0) <= 1e-10
         assert info.converged
@@ -281,7 +309,7 @@ class TestSolveRelaxed:
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u, _info = mv._solve_relaxed(chi, cfg.h, P, cfg)
+        u, _info, _end = mv._solve_relaxed(chi, cfg.h, P, cfg)
         assert objective(u, chi, cfg.h) <= objective(chi, chi, cfg.h) + 1e-8
 
     def test_small_tau_returns_to_anchor(self):
@@ -290,7 +318,7 @@ class TestSolveRelaxed:
         cfg = StepConfig(h=1e-3, pd_tol=1e-5)
         diffs = []
         for k in range(0, 6, 2):
-            u, _info = mv._solve_relaxed(chi, cfg.h / 2 ** k, P, cfg)
+            u, _info, _end = mv._solve_relaxed(chi, cfg.h / 2 ** k, P, cfg)
             diffs.append(float(np.linalg.norm(u.values - chi.values)))
         assert diffs[-1] <= diffs[0] + 1e-12
         assert diffs[-1] <= 0.5 * diffs[0] + 1e-6
@@ -299,7 +327,7 @@ class TestSolveRelaxed:
         g = grid2(16)
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        u, _info = mv._solve_relaxed(chi, 4e-6, P, cfg)
+        u, _info, _end = mv._solve_relaxed(chi, 4e-6, P, cfg)
         l1 = float(np.sum(np.abs(u.values - chi.values))) * g.cell_volume
         assert l1 <= 3.0 * g.cell_volume
 
@@ -347,12 +375,12 @@ class TestMMStep:
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
         res = mm_step(chi, P, cfg)
-        snap = de_giorgi_interpolant(chi, cfg.h, P, cfg)
+        snap, _end = de_giorgi_interpolant(chi, cfg.h, P, cfg)
         np.testing.assert_array_equal(snap.values, res.chi_next.values)
         # the same holds for a warm start, given to both
-        start = de_giorgi_interpolant(chi, cfg.h / 2, P, cfg).pd_info.end
+        _half, start = de_giorgi_interpolant(chi, cfg.h / 2, P, cfg)
         res = mm_step(chi, P, cfg, start=start)
-        snap = de_giorgi_interpolant(chi, cfg.h, P, cfg, start=start)
+        snap, _end = de_giorgi_interpolant(chi, cfg.h, P, cfg, start=start)
         assert snap.pd_info.iters == res.pd_iters
         np.testing.assert_array_equal(snap.values, res.chi_next.values)
 
@@ -390,11 +418,11 @@ def test_step_matches_recorded_solve(name, monkeypatch):
     kw, iters, objective = REGRESSION_STEPS[name]
     spec = ScenarioSpec(name=name, dims=(32, 32), lengths=(1.0, 1.0),
                         n_steps=1, **kw)
-    sweeps = count_sweeps(monkeypatch)
+    bisections = count_bisections(monkeypatch)
     res = mm_step(make_initial(spec), spec.params, spec.step)
     # the warm-started Newton evaluations land every projection of these
-    # solves; the sorted sweep is only the fallback
-    assert sweeps == []
+    # solves; the bisection is only the fallback
+    assert bisections == []
     assert res.converged
     assert res.pd_iters == iters
     assert abs(res.objective - objective) <= spec.step.pd_tol * max(1.0, objective)
@@ -406,7 +434,7 @@ def test_continuation_matches_cold_solves():
     spec = ScenarioSpec(name="two_balls", dims=(32, 32), lengths=(1.0, 1.0),
                         n_steps=1, **kw)
     chi, p, cfg = make_initial(spec), spec.params, spec.step
-    cold_snaps = [de_giorgi_interpolant(chi, cfg.h * j / 4, p, cfg)
+    cold_snaps = [de_giorgi_interpolant(chi, cfg.h * j / 4, p, cfg)[0]
                   for j in (1, 2, 3)]
     cold = mm_step(chi, p, cfg)
     traj = run_trajectory(chi, p, cfg, 1)
@@ -426,7 +454,7 @@ def test_continuation_matches_cold_solves():
         1.0, abs(cold.objective)
     )
     # stored snapshots keep the solver counts, not the primal-dual arrays
-    assert all(s.pd_info.end is None for s in snaps)
+    assert [f.name for f in fields(mv.SolveInfo)] == ["iters", "converged", "residual"]
 
 
 def test_pd_iterate_leaves_subnormal_range(monkeypatch):
@@ -485,17 +513,16 @@ def loop_input(name):
         p, h = EnergyParams(1.0, np.pi / 3), 1e-3
     start = None
     if name == "two_balls":
-        _u, info = mv._solve_relaxed(chi, h / 2, p, StepConfig(h=h))
+        _u, info, start = mv._solve_relaxed(chi, h / 2, p, StepConfig(h=h))
         assert info.converged
-        start = info.end
     return chi, h, p, start
 
 
 def assert_same_solve(chi, tau, p, cfg, start):
-    out, info = mv._solve_relaxed(chi, tau, p, cfg, start)
-    ref, ref_info = oracles.solve_relaxed_ref(chi, tau, p, cfg, start)
+    out, info, end = mv._solve_relaxed(chi, tau, p, cfg, start)
+    ref, ref_info, ref_end = oracles.solve_relaxed_ref(chi, tau, p, cfg, start)
     assert (info.iters, info.converged) == (ref_info.iters, ref_info.converged)
-    (u_hat, y_hat, shift), (u_ref, y_ref, shift_ref) = info.end, ref_info.end
+    (u_hat, y_hat, shift), (u_ref, y_ref, shift_ref) = end, ref_end
     for got, want in ((u_hat, u_ref), (y_hat, np.asarray(y_ref)),
                       (out.values, ref.values), (shift, shift_ref)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -532,7 +559,7 @@ class TestInterpolant:
         g = grid2()
         chi = binary_disk(g, (0.5, 0.5), 0.3)
         cfg = quick_cfg(g)
-        snap = de_giorgi_interpolant(chi, 1e-3 * cfg.h, P, cfg)
+        snap, _end = de_giorgi_interpolant(chi, 1e-3 * cfg.h, P, cfg)
         np.testing.assert_array_equal(snap.values, chi.values)
 
     def test_binary_samples_never_raise_energy(self):
@@ -541,7 +568,7 @@ class TestInterpolant:
         cfg = quick_cfg(g)
         E0 = energy(chi, P).total
         for j in (1, 2, 4, 8):
-            snap = de_giorgi_interpolant(chi, cfg.h * j / 8.0, P, cfg)
+            snap, _end = de_giorgi_interpolant(chi, cfg.h * j / 8.0, P, cfg)
             assert energy(snap, P).total <= E0 + 1e-12
 
     def test_binary_sample_sequences_monotone(self):
@@ -552,7 +579,7 @@ class TestInterpolant:
         dists, values = [], []
         for j in range(1, 9):
             tau = cfg.h * j / 8.0
-            snap = de_giorgi_interpolant(chi, tau, P, cfg)
+            snap, _end = de_giorgi_interpolant(chi, tau, P, cfg)
             diff = project_mean_zero(ScalarField(g, snap.values - chi.values))
             d2 = hminus_norm_sq(diff)
             dists.append(np.sqrt(d2))
@@ -570,7 +597,7 @@ class TestInterpolant:
         dists, values = [], []
         for j in range(1, 9):
             tau = cfg.h * j / 8.0
-            u, _info = mv._solve_relaxed(chi, tau, P, cfg)
+            u, _info, _end = mv._solve_relaxed(chi, tau, P, cfg)
             diff = project_mean_zero(ScalarField(g, u.values - chi.values))
             d2 = hminus_norm_sq(diff)
             dists.append(np.sqrt(d2))

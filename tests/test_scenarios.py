@@ -81,7 +81,8 @@ def drawn_specs(draw):
     """Keyword arguments of a ball, two_balls, stripe or cap on 16^2 to 48^2.
 
     Centres, cuts and radii are drawn over most of the box, so many of the
-    specs do not fit; the radii start at 0, so some fit but cover no cell.
+    specs do not fit; the radii start at 0, which is refused, so some fit
+    but cover no cell.
     """
     n = draw(st.integers(16, 48))
     kind = draw(st.sampled_from(("ball", "two_balls", "stripe", "boundary_cap")))
@@ -203,6 +204,31 @@ class TestSpecValidation:
         base = {s.kind: s for s in default_scenarios(32)}["boundary_cap"]
         with pytest.raises(ValueError, match="one center on the wall"):
             replace(base, centers=centers)
+
+    NOT_A_BALL = [
+        pytest.param("ball", dict(radii=(-0.25,)), id="ball_negative"),
+        pytest.param("ball", dict(radii=(0.0,)), id="ball_zero"),
+        pytest.param("two_balls", dict(centers=((0.4, 0.5), (0.6, 0.5)),
+                                       radii=(-0.18, -0.10)), id="two_balls_negative"),
+        pytest.param("boundary_cap", dict(radii=(-0.25,)), id="cap_negative"),
+        pytest.param("random_blobs", dict(blob_count=-3), id="blob_count_negative"),
+        pytest.param("random_blobs", dict(blob_count=0), id="blob_count_zero"),
+    ]
+
+    @pytest.mark.parametrize("kind, changes", NOT_A_BALL)
+    def test_balls_need_positive_radii(self, kind, changes):
+        # a negative radius passes the fit tests as a smaller shape, and a
+        # blob count below one lays out no ball
+        base = {s.kind: s for s in default_scenarios(32)}[kind]
+        with pytest.raises(ValueError, match="shape out of bounds: %s needs balls of "
+                           "positive radius" % kind):
+            replace(base, **changes)
+
+    @pytest.mark.parametrize("radius_range", [(-0.12, -0.08), (0.0, 0.08), (0.12, 0.08)])
+    def test_blob_radius_range_ordered_positive(self, radius_range):
+        base = {s.kind: s for s in default_scenarios(32)}["random_blobs"]
+        with pytest.raises(ValueError, match="blob radii need 0 < lo <= hi"):
+            replace(base, blob_radius_range=radius_range)
 
     UNREAD = [
         ("ball", "x_cut", 0.5),
