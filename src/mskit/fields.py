@@ -12,18 +12,27 @@ layers rely on.
 The cosine transform is a dense matrix product per axis, with one cached
 orthonormal DCT-II matrix and its contiguous transpose for each axis of a
 grid. That is O(n) work per value and axis against an FFT's O(log n), paid
-in one BLAS call per axis instead of an FFT's per-call set-up. On one core
-a Poisson apply (transform and inverse) takes 0.45 and 0.58 times
-scipy.fft's time at 32^2 and 64^2 and 0.28 and 0.38 times at 16^3 and
-32^3; it stops paying above that, at 1.35 times scipy.fft's time at 128^2
-and 2.6 times at 256^2. The shipped scenarios, checks and benchmark solve
-on 128^2 at most, where the cheaper stencils and projection of an
-iteration make up the difference.
+in one BLAS call per axis instead of an FFT's per-call set-up. Every
+product writes into a buffer: `_bind_poisson` fetches the matrices and the
+inverse symbol, allocates the buffers and binds the products and the
+symbol multiply to them and to the source and output arrays (`_bound`).
+The primal-dual solve in `minmov` binds one Poisson apply per solve and
+runs it every iteration; `poisson_apply_raw` binds one per call. On one core a bound Poisson apply (transform and inverse)
+takes 0.28 and 0.52 times scipy.fft's time at 32^2 and 64^2 (10 and 40
+microseconds) and 0.25 and 0.42 times at 16^3 and 32^3; it stops paying
+above that, at 1.4 times scipy.fft's time at 128^2 and 1.9 times at
+256^2. The shipped scenarios, checks and benchmark solve on 128^2 at
+most, where the cheaper stencils and projection of an iteration make up
+the difference.
 
 Real-space difference operators (forward with its exact adjoint, and
 centered with reflected ghosts) are kept separate from the spectral
 calculus: they serve the total-variation energy and the varifold
 diagnostics, where staircase fields make spectral differentiation useless.
+The forward stencil and its adjoint are bound the same way, from
+`_stencil_plan` (per axis the spacing, the flat stride and the boundary
+slices), by `_bind_grad_forward` and `_bind_grad_adjoint`, which
+`grad_forward` and `grad_forward_adjoint` run once per call.
 
 Wall reflection is one rule, applied by `_ghost_pad` for the centered
 stencils here and for the flow maps in `flows`: every component gets one
@@ -248,6 +257,26 @@ def vector_from_callables(grid, fns):
 # Spectral Neumann calculus
 # ---------------------------------------------------------------------------
 
+def _bound(calls, result):
+    """A kernel bound to its arrays: a function of no arguments that runs
+    `calls`, (function, arguments) pairs, in order and returns `result`.
+
+    The binders below (`_bind_poisson`, `_bind_grad_forward`,
+    `_bind_grad_adjoint`) build the calls from views of the arrays they
+    are given, so a kernel bound once recomputes its output from what its
+    input arrays hold each time it runs, as long as every input is
+    C-contiguous (a reshape of any other array is a copy, taken when the
+    kernel is bound). A primal-dual solve binds each kernel once and runs
+    it every iteration; the public kernels bind and run once per call.
+    """
+    def run():
+        for fn, args in calls:
+            fn(*args)
+        return result
+
+    return run
+
+
 @lru_cache(maxsize=32)
 def _neumann_symbol(grid):
     """Eigenvalues -(sum_a (pi k_a / L_a)^2) on the cosine basis, shape dims."""
@@ -264,7 +293,7 @@ def _neumann_symbol(grid):
 @lru_cache(maxsize=32)
 def _cosine_plan(grid):
     """Per axis: the orthonormal DCT-II matrix C, its transpose as a
-    contiguous copy, and the (rows, n, columns) view of the axis.
+    contiguous copy, and the shape that exposes the axis to one product.
 
     Row k of C samples sqrt(2/n) cos(pi k (i + 1/2) / n) at the cell index i
     (row 0 is the constant sqrt(1/n)); the phase k (2i + 1) is reduced
@@ -272,8 +301,14 @@ def _cosine_plan(grid):
     [0, 2 pi) and the entries are accurate to rounding at any n. Keeping
     both C and its transpose contiguous means no product multiplies a
     transposed view, which BLAS runs about 1.5 times slower at 64^2.
+
+    The shape is (n, columns) on the leading axis, a plain matrix for a
+    product from the left; (blocks, n, columns) on a middle axis, a batch
+    of such products; and (rows, n) on the last axis, for a product from
+    the right.
     """
     plan = []
+    last = grid.d - 1
     for a, n in enumerate(grid.dims):
         k = np.arange(n).reshape(-1, 1)
         i = np.arange(n).reshape(1, -1)
@@ -283,29 +318,48 @@ def _cosine_plan(grid):
         mat_t = np.ascontiguousarray(mat.T)
         mat.flags.writeable = False
         mat_t.flags.writeable = False
-        plan.append((mat, mat_t, (-1, n, int(np.prod(grid.dims[a + 1:])))))
+        columns = int(np.prod(grid.dims[a + 1:]))
+        if a == 0:
+            view = (n, columns)
+        elif a < last:
+            view = (-1, n, columns)
+        else:
+            view = (-1, n)
+        plan.append((mat, mat_t, view))
     return tuple(plan)
 
 
-def _cosine(values, grid, inverse=False, out=None):
-    """Orthonormal DCT-II coefficients of `values`, or its inverse.
+def _transform_calls(values, plan, out, work, inverse=False):
+    """The orthonormal DCT-II of `values`, or its inverse, into `out`, as
+    np.matmul calls bound to these arrays (see `_bound`).
 
-    One matrix product per axis: the last axis multiplies the rows of a
-    (cells, n) view from the right, every other axis is a batched product
-    over contiguous (n, columns) blocks. In 2-D that is C0 @ v @ C1.T
-    forward and C0.T @ c @ C1 back. The last product writes into `out`, a
-    C-contiguous array of the grid shape, when one is given.
+    One matrix product per axis: every axis but the last multiplies from
+    the left, into work[0] on the leading axis and work[1] on the middle
+    one; the last multiplies from the right, into `out`. In 2-D that is
+    C0 @ v @ C1.T forward and C0.T @ c @ C1 back. `plan` is `_cosine_plan`
+    of the grid, `work` a (2, *shape) array and `out` a C-contiguous array
+    of the grid shape that is neither half of `work`.
     """
+    calls = []
     res = values
-    last = grid.d - 1
-    for a, (mat, mat_t, blocks) in enumerate(_cosine_plan(grid)):
-        left, right = (mat_t, mat) if inverse else (mat, mat_t)
+    last = len(plan) - 1
+    for a, (mat, mat_t, view) in enumerate(plan):
         if a == last:
-            dest = None if out is None else out.reshape(blocks[:2])
-            res = np.matmul(res.reshape(blocks[:2]), right, out=dest)
+            args = (res.reshape(view), mat if inverse else mat_t, out.reshape(view))
         else:
-            res = np.matmul(left, res.reshape(blocks))
-    return res.reshape(grid.shape)
+            dest = work[a]
+            args = (mat_t if inverse else mat, res.reshape(view), dest.reshape(view))
+            res = dest
+        calls.append((np.matmul, args))
+    return calls
+
+
+def _cosine(values, grid, inverse=False):
+    """`_transform_calls` of `values` on `grid`, run once into a new array."""
+    out = np.empty(grid.shape)
+    work = np.empty((2,) + grid.shape)
+    calls = _transform_calls(values, _cosine_plan(grid), out, work, inverse)
+    return _bound(calls, out)()
 
 
 @lru_cache(maxsize=32)
@@ -316,6 +370,22 @@ def _inverse_symbol(grid):
     np.divide(1.0, sym, out=inv, where=sym != 0.0)
     inv.flags.writeable = False
     return inv
+
+
+def _bind_poisson(values, grid, out):
+    """The inverse Laplacian of `values` into `out`, bound by `_bound`.
+
+    The division by the symbol is one multiply by its inverse, whose zero
+    mode is 0. A (3, *shape) work array of its own holds the transforms'
+    intermediates (the first two slices) and the coefficients (the third).
+    """
+    cosine, inv = _cosine_plan(grid), _inverse_symbol(grid)
+    work = np.empty((3,) + grid.shape)
+    coeffs = work[2]
+    calls = (_transform_calls(values, cosine, coeffs, work)
+             + [(np.multiply, (coeffs, inv, coeffs))]
+             + _transform_calls(coeffs, cosine, out, work, inverse=True))
+    return _bound(calls, out)
 
 
 def _out_buffer(out, shape):
@@ -335,14 +405,10 @@ def _out_buffer(out, shape):
 def poisson_apply_raw(values, grid, out=None):
     """Array-level inverse Laplacian (zero-flux walls, zero mode dropped).
 
-    The division by the symbol is one multiply by its cached inverse, whose
-    zero mode is 0. The result is written into `out` when one is given.
+    `_bind_poisson`, run once; the result is written into `out` when one
+    is given.
     """
-    out = _out_buffer(out, grid.shape)
-    coeffs = _cosine(values, grid)
-    coeffs *= _inverse_symbol(grid)
-    _cosine(coeffs, grid, inverse=True, out=out)
-    return out
+    return _bind_poisson(values, grid, _out_buffer(out, grid.shape))()
 
 
 def neumann_solve(F):
@@ -411,6 +477,54 @@ def _stencil_plan(grid):
     )
 
 
+def _scale_call(diffs, h, scale):
+    """The call that divides `diffs` in place by the spacing h, or, given
+    a scale, multiplies it by scale / h."""
+    if scale is None:
+        return np.divide, (diffs, h, diffs)
+    return np.multiply, (diffs, scale / h, diffs)
+
+
+def _bind_grad_forward(values, grid, out, scale):
+    """Forward differences of `values` into the (d, *shape) `out`, bound
+    by `_bound`; see grad_forward for the arithmetic.
+    """
+    flat = values.reshape(-1)
+    calls = []
+    for g, (h, stride, _first, _second_last, last) in zip(out, _stencil_plan(grid)):
+        calls += [
+            (np.subtract, (flat[stride:], flat[:-stride], g.reshape(-1)[:-stride])),
+            (np.copyto, (g[last], 0.0)),
+            _scale_call(g, h, scale),
+        ]
+    return _bound(calls, out)
+
+
+def _bind_grad_adjoint(ps, grid, out, scale):
+    """grad_forward_adjoint of `ps` into `out`, bound by `_bound`.
+
+    A scratch array of its own holds the axes after the first before they
+    are added to `out`. The first slice is negated by a multiply: the
+    `negative` ufunc miscomputes into some single-column views (module
+    docstring).
+    """
+    calls = []
+    scratch = np.empty(grid.shape)
+    plan = _stencil_plan(grid)
+    for a, (p, (h, stride, first, second_last, last)) in enumerate(zip(ps, plan)):
+        acc = out if a == 0 else scratch
+        flat = p.reshape(-1)
+        calls += [
+            (np.subtract, (flat[:-stride], flat[stride:], acc.reshape(-1)[stride:])),
+            (np.multiply, (p[first], -1.0, acc[first])),
+            (np.copyto, (acc[last], p[second_last])),
+            _scale_call(acc, h, scale),
+        ]
+        if acc is not out:
+            calls.append((np.add, (out, acc, out)))
+    return _bound(calls, out)
+
+
 def grad_forward(values, grid, out=None, scale=None):
     """Forward differences per axis, zero on the last slice of each axis.
 
@@ -425,12 +539,7 @@ def grad_forward(values, grid, out=None, scale=None):
     factor into that pass and costs no division.
     """
     out = _out_buffer(out, (grid.d,) + grid.shape)
-    flat = values.reshape(-1)
-    for g, (h, stride, _first, _second_last, last) in zip(out, _stencil_plan(grid)):
-        np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
-        g[last] = 0.0
-        _scale_axis(g, h, scale)
-    return out
+    return _bind_grad_forward(values, grid, out, scale)()
 
 
 def grad_forward_adjoint(ps, grid, out=None, scale=None):
@@ -445,29 +554,7 @@ def grad_forward_adjoint(ps, grid, out=None, scale=None):
     per axis, and the first and last slices are then overwritten.
     """
     out = _out_buffer(out, grid.shape)
-    scratch = np.empty(grid.shape)
-    for a, (p, (h, stride, first, second_last, last)) in enumerate(
-        zip(ps, _stencil_plan(grid))
-    ):
-        acc = out if a == 0 else scratch
-        flat = p.reshape(-1)
-        np.subtract(flat[:-stride], flat[stride:], out=acc.reshape(-1)[stride:])
-        # negate by copy: the `negative` ufunc miscomputes into some
-        # single-column views (module docstring)
-        acc[first] = -p[first]
-        acc[last] = p[second_last]
-        _scale_axis(acc, h, scale)
-        if acc is not out:
-            out += acc
-    return out
-
-
-def _scale_axis(diffs, h, scale):
-    """In place: differences over the spacing h, times scale if one is given."""
-    if scale is None:
-        diffs /= h
-    else:
-        diffs *= scale / h
+    return _bind_grad_adjoint(ps, grid, out, scale)()
 
 
 def tv_forward(values, grid):

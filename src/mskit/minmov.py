@@ -18,17 +18,24 @@ The over-relaxation (factor 1.5) is written x_hat + 0.5 (x_hat - x): a
 cell clipped to 0 then halves exactly to 0 instead of cycling at +-1 ulp
 of the smallest subnormal, where every operation on u runs slowly.
 
-A solve allocates its workspace once. The primal u and the dual y, one
-component per axis, are stacked in one (d + 1, *shape) array and the
-iterate (u_hat, y_hat) in another, so the over-relaxation, the residual's
-differences and the dual update each act on whole stacks; the step
-constants are folded into the scale of the pass that needs them (-t/tau
-on the Poisson apply, t on the adjoint stencil, sigma on the gradient,
-t beta once per solve). The source of the Poisson apply is u - chi with
-its mean removed. The apply drops the zero mode, so the mean changes no
-exact value; it is a denormal guard: without it, at stiff h, subnormals
-reach the cosine transform and the stiff cap's iterations cost about a
-fifth more (full 64^2 solve, 6370 iterations).
+A solve binds its kernels once. Before the first iteration it fetches the
+per-axis cosine matrices, the inverse symbol and the stencil strides and
+spacings, allocates its buffers, and binds the Poisson apply, both
+stencils, the residual check's stencils and the dual clip to them
+(`fields._bound`). An iteration runs the bound calls: no cache lookup,
+no array allocation and no view built per iteration. The primal u and
+the dual y, one component per axis, are stacked in one (d + 1, *shape)
+array and the iterate (u_hat, y_hat) in another, so the over-relaxation,
+the residual's differences, the dual update and the dual clip each act
+on whole stacks; the step constants are folded into the scale of the
+pass that needs them (-t/tau on the Poisson apply, t on the adjoint
+stencil, sigma on the gradient, t beta once per solve). The source of
+the Poisson apply is u - chi_c, chi_c being chi with its mean removed
+once per solve. The apply drops the zero mode, so the mean changes no
+exact value; it is a denormal guard. With u - chi as the source, at
+stiff h, subnormals reach the cosine transform in 4276 of the 6370
+iterations of the benchmark's seed-0 64^2 stiff cap, and an iteration
+costs a tenth to a quarter more; with u - chi_c they reach it in none.
 
 One private body, _step, runs solve, threshold and binary selection at a
 penalty time tau. mm_step is its tau = h face and returns the step record;
@@ -46,11 +53,16 @@ start changes the cost of a solve, not the problem it solves.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .fields import (
     ScalarField,
+    _bind_grad_adjoint,
+    _bind_grad_forward,
+    _bind_poisson,
+    _bound,
     _top_cells,
     grad_forward,
     grad_forward_adjoint,
@@ -210,22 +222,24 @@ def _dual_init(chi, grid, c0):
     return c0 * gs / safe
 
 
-def _clip_dual(y, c0, sq, mag):
-    """Scale each dual vector longer than c0 back to length c0, in place.
+def _bind_dual_clip(y, c0, sq, mag):
+    """The dual clip of y in place, bound by `fields._bound`: each dual
+    vector longer than c0 is scaled back to length c0.
 
     y is the stacked (d, *shape) dual; sq has its shape and mag the grid
     shape, both scratch. The factor c0 / max(|y|, c0) is exactly 1 where
-    |y| <= c0.
+    |y| <= c0, and one broadcast multiply applies it to the whole stack.
     """
-    np.multiply(y, y, out=sq)
-    np.add(sq[0], sq[1], out=mag)
-    for s in sq[2:]:
-        mag += s
-    np.sqrt(mag, out=mag)
-    np.maximum(mag, c0, out=mag)
-    np.divide(c0, mag, out=mag)
-    for comp in y:
-        comp *= mag
+    calls = [(np.multiply, (y, y, sq)), (np.add, (sq[0], sq[1], mag))]
+    calls += [(np.add, (mag, s, mag)) for s in sq[2:]]
+    calls += [
+        (np.sqrt, (mag, mag)),
+        # numpy 2.4 deprecates a positional output for np.maximum
+        (partial(np.maximum, out=mag), (mag, c0)),
+        (np.divide, (c0, mag, mag)),
+        (np.multiply, (y, mag, y)),
+    ]
+    return _bound(calls, y)
 
 
 def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
@@ -241,13 +255,14 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     nonlocal penalty enters through its gradient, one inverse-Laplacian
     apply per iteration, which is exact in the cosine basis.
 
-    The iteration runs in a workspace allocated once per solve (module
-    docstring). The over-relaxation x + r (x_hat - x) is evaluated as
-    x_hat + (r - 1) (x_hat - x). Where the projection clips u_hat to 0 the
-    first form multiplies u by 1 - r = -1/2 with rounding, and at the
-    smallest subnormal that rounding keeps u flipping between +1 and -1 ulp
-    for the rest of the solve, so every operation reading u takes the slow
-    subnormal path; the second form halves u exactly and reaches 0.
+    The kernels are bound to the solve's buffers once, and the Poisson
+    source is centred by chi's mean, computed once, as the denormal guard
+    (module docstring). The over-relaxation x + r (x_hat - x) is evaluated
+    as x_hat + (r - 1) (x_hat - x). Where the projection clips u_hat to 0
+    the first form multiplies u by 1 - r = -1/2 with rounding, and at the
+    smallest subnormal that rounding keeps u flipping between +1 and -1
+    ulp for the rest of the solve, so every operation reading u takes the
+    slow subnormal path; the second form halves u exactly and reaches 0.
     """
     if not tau > 0:
         raise ValueError("penalty time tau must be positive")
@@ -278,42 +293,49 @@ def _solve_relaxed(chi_prev, tau, p, cfg, start=None):
     dx = np.empty(stack)  # x - x_hat, for the residual
     u, y = x[0], x[1:]
     u_hat, y_hat = x_hat[0], x_hat[1:]
+    # the Poisson source is u - chi_c; the mean of chi_c is removed once
+    # here, as the denormal guard (module docstring)
+    chi_c = chi - chi.mean()
     sq = np.empty(y.shape)
-    diff = np.empty(grid.shape)  # u - chi, mean removed
+    src = np.empty(grid.shape)  # Poisson source u - chi_c
     arg = np.empty(grid.shape)  # primal argument of the projection
     adj = np.empty(grid.shape)  # adjoint stencil of the dual
     ext = np.empty(grid.shape)  # extrapolated primal 2 u_hat - u
     mag = np.empty(grid.shape)
     work = (np.empty(grid.shape), np.empty(grid.shape, bool))
+    du, dy = dx[0], dx[1:]
+    # every kernel an iteration runs, bound to these buffers once
+    poisson = _bind_poisson(src, grid, arg)
+    adjoint = _bind_grad_adjoint(y, grid, adj, t)
+    gradient = _bind_grad_forward(ext, grid, y_hat, sigma)
+    clip = _bind_dual_clip(y_hat, p.c0, sq, mag)
+    adjoint_dy = _bind_grad_adjoint(dy, grid, adj, t)
+    gradient_du = _bind_grad_forward(du, grid, sq, sigma)
 
     iters = 0
     converged = False
     residual = np.inf
     for iters in range(1, cfg.pd_max_iters + 1):
-        np.subtract(u, chi, out=diff)
-        # denormal guard (module docstring): the apply drops the zero mode
-        diff -= diff.mean()
-        poisson_apply_raw(diff, grid, out=arg)
+        np.subtract(u, chi_c, out=src)
+        poisson()
         arg *= penalty_scale
         arg += t_beta
-        arg += grad_forward_adjoint(y, grid, out=adj, scale=t)
+        arg += adjoint()
         np.subtract(u, arg, out=arg)
         shift = _project_box_mass(arg, mean_target, shift, out=u_hat,
                                   work=work)[1]
         np.multiply(u_hat, 2.0, out=ext)
         ext -= u
-        grad_forward(ext, grid, out=y_hat, scale=sigma)
+        gradient()
         y_hat += y
-        _clip_dual(y_hat, p.c0, sq, mag)
+        clip()
 
         if iters % _CHECK_EVERY == 0 or iters == cfg.pd_max_iters:
             # t times the primal residual du/t - K^T dy and sigma times the
             # dual residual dy/sigma - K du, on du = u - u_hat, dy = y - y_hat
             np.subtract(x, x_hat, out=dx)
-            du, dy = dx[0], dx[1:]
-            np.subtract(du, grad_forward_adjoint(dy, grid, out=adj, scale=t),
-                         out=arg)
-            dy -= grad_forward(du, grid, out=sq, scale=sigma)
+            np.subtract(du, adjoint_dy(), out=arg)
+            dy -= gradient_du()
             p_res = np.linalg.norm(arg) + t * lip * np.linalg.norm(du)
             unorm = max(1.0, float(np.linalg.norm(u_hat)))
             ynorm = max(1.0, float(np.linalg.norm(y_hat)))

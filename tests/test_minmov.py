@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mskit import minmov as mv
+from mskit import fields as fd, minmov as mv
 from mskit.energy import EnergyParams, PhaseField, energy
 from mskit.fields import ScalarField, hminus_norm_sq, make_grid, project_mean_zero
 from mskit.minmov import (
@@ -462,36 +462,83 @@ def test_pd_iterate_leaves_subnormal_range(monkeypatch):
 
     A cell the projection clips to 0 must halve to 0 within about 53
     iterations rather than cycle at +-1 ulp of the smallest subnormal,
-    where every operation that reads it takes the slow path.
+    where every operation that reads it takes the slow path. No Poisson
+    source u - chi_c holds a subnormal entry either: centring chi once per
+    solve is the guard that keeps them away from the cosine transform.
     """
     kw, iters, _objective = REGRESSION_STEPS["stiff_cap"]
     spec = ScenarioSpec(name="stiff_cap", dims=(32, 32), lengths=(1.0, 1.0),
                         n_steps=1, **kw)
-    poisson, grad = mv.poisson_apply_raw, mv.grad_forward
-    state = {"fresh": False, "seen": 0, "longest": 0,
+    bind_poisson, bind_grad = mv._bind_poisson, mv._bind_grad_forward
+    tiny = np.finfo(float).tiny
+    state = {"fresh": False, "seen": 0, "longest": 0, "subnormal_sources": 0,
              "run": np.zeros(spec.dims, dtype=int)}
 
-    def poisson_once_per_iteration(values, grid, **kw):
-        state["fresh"] = True
-        return poisson(values, grid, **kw)
+    def poisson_once_per_iteration(values, grid, out):
+        apply = bind_poisson(values, grid, out)
 
-    def grad_tracking_subnormals(values, grid, **kw):
-        # the first forward gradient after the Poisson apply is the one of
-        # 2 u_hat - u; the warm start and the residual check come elsewhere
-        if state["fresh"]:
-            state["fresh"] = False
-            state["seen"] += 1
-            sub = (values != 0.0) & (np.abs(values) < np.finfo(float).tiny)
-            state["run"] = np.where(sub, state["run"] + 1, 0)
-            state["longest"] = max(state["longest"], int(state["run"].max()))
-        return grad(values, grid, **kw)
+        def flagged():
+            state["fresh"] = True
+            if np.any((values != 0.0) & (np.abs(values) < tiny)):
+                state["subnormal_sources"] += 1
+            return apply()
 
-    monkeypatch.setattr(mv, "poisson_apply_raw", poisson_once_per_iteration)
-    monkeypatch.setattr(mv, "grad_forward", grad_tracking_subnormals)
+        return flagged
+
+    def grad_tracking_subnormals(values, grid, out, scale):
+        apply = bind_grad(values, grid, out, scale)
+
+        def tracked():
+            # the first forward gradient after the Poisson apply is the one
+            # of 2 u_hat - u; the residual check comes elsewhere
+            if state["fresh"]:
+                state["fresh"] = False
+                state["seen"] += 1
+                sub = (values != 0.0) & (np.abs(values) < tiny)
+                state["run"] = np.where(sub, state["run"] + 1, 0)
+                state["longest"] = max(state["longest"], int(state["run"].max()))
+            return apply()
+
+        return tracked
+
+    monkeypatch.setattr(mv, "_bind_poisson", poisson_once_per_iteration)
+    monkeypatch.setattr(mv, "_bind_grad_forward", grad_tracking_subnormals)
     res = mm_step(make_initial(spec), spec.params, spec.step)
     assert res.pd_iters == iters
     assert state["seen"] == iters
     assert state["longest"] <= 60
+    assert state["subnormal_sources"] == 0
+
+
+def test_solve_fetches_its_operators_once(monkeypatch):
+    """A solve's plan lookups do not grow with its iteration count.
+
+    The cosine plan, the inverse symbol and the stencil plan are fetched
+    when the solve starts; no iteration, residual check included, looks
+    them up again.
+    """
+    kw, _iters, _objective = REGRESSION_STEPS["two_balls"]
+    spec = ScenarioSpec(name="two_balls", dims=(32, 32), lengths=(1.0, 1.0),
+                        n_steps=1, **kw)
+    chi = make_initial(spec)
+    lookups = []
+    for name in ("_cosine_plan", "_inverse_symbol", "_stencil_plan"):
+        def counted(grid, _fn=getattr(fd, name), _name=name):
+            lookups.append(_name)
+            return _fn(grid)
+        monkeypatch.setattr(fd, name, counted)
+
+    def solve_lookups(n_iters):
+        del lookups[:]
+        # pd_tol far below reach: the solve runs all n_iters iterations
+        cfg = StepConfig(h=spec.step.h, pd_max_iters=n_iters, pd_tol=1e-12)
+        info = mv._solve_relaxed(chi, cfg.h, spec.params, cfg)[1]
+        assert info.iters == n_iters and not info.converged
+        return sorted(lookups)
+
+    short = solve_lookups(300)
+    assert set(short) == {"_cosine_plan", "_inverse_symbol", "_stencil_plan"}
+    assert solve_lookups(600) == short
 
 
 def loop_input(name):
