@@ -92,22 +92,20 @@ class EnergyBreakdown:
 
 
 def _face_slices(grid):
-    """(axis, side, index tuple) for the 2d boundary cell slices."""
+    """(axis, index tuple) for the 2d boundary cell slices."""
     out = []
     for a in range(grid.d):
-        lo = [slice(None)] * grid.d
-        hi = [slice(None)] * grid.d
-        lo[a] = 0
-        hi[a] = grid.dims[a] - 1
-        out.append((a, 0, tuple(lo)))
-        out.append((a, 1, tuple(hi)))
+        for i in (0, grid.dims[a] - 1):
+            idx = [slice(None)] * grid.d
+            idx[a] = i
+            out.append((a, tuple(idx)))
     return out
 
 
 def boundary_trace_integral(values, grid):
     """Sum of face-adjacent cell values times face measure, over all walls."""
     total = 0.0
-    for a, _side, idx in _face_slices(grid):
+    for a, idx in _face_slices(grid):
         total += float(values[idx].sum()) * grid.face_area(a)
     return total
 
@@ -115,7 +113,7 @@ def boundary_trace_integral(values, grid):
 def wall_weight(grid):
     """Per-cell density whose cell quadrature reproduces the wall trace sum."""
     w = np.zeros(grid.shape)
-    for a, _side, idx in _face_slices(grid):
+    for a, idx in _face_slices(grid):
         w[idx] += 1.0 / grid.spacing[a]
     return w
 
@@ -186,7 +184,7 @@ def first_variation(chi, slc, B, p):
     bulk = p.c0 * float(np.sum((div - nJn) * slc.density.values)) * grid.cell_volume
 
     boundary = 0.0
-    for a, _side, idx in _face_slices(grid):
+    for a, idx in _face_slices(grid):
         tang_div = sum(J[b][b] for b in range(grid.d) if b != a)
         boundary += float(np.sum(tang_div[idx] * chi.values[idx])) * grid.face_area(a)
     boundary *= p.cos_alpha * p.c0

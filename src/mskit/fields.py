@@ -17,11 +17,11 @@ product writes into a buffer: `_bind_poisson` fetches the matrices and the
 inverse symbol, allocates the buffers and binds the products and the
 symbol multiply to them and to the source and output arrays (`_bound`).
 The primal-dual solve in `minmov` binds one Poisson apply per solve and
-runs it every iteration; `poisson_apply_raw` binds one per call. On one core a bound Poisson apply (transform and inverse)
-takes 0.28 and 0.52 times scipy.fft's time at 32^2 and 64^2 (10 and 40
-microseconds) and 0.25 and 0.42 times at 16^3 and 32^3; it stops paying
-above that, at 1.4 times scipy.fft's time at 128^2 and 1.9 times at
-256^2. The shipped scenarios, checks and benchmark solve on 128^2 at
+runs it every iteration. On one core a bound Poisson apply (transform and
+inverse) takes 0.28 and 0.52 times scipy.fft's time at 32^2 and 64^2 (10
+and 40 microseconds) and 0.25 and 0.42 times at 16^3 and 32^3; it stops
+paying above that, at 1.4 times scipy.fft's time at 128^2 and 1.9 times
+at 256^2. The shipped scenarios, checks and benchmark solve on 128^2 at
 most, where the cheaper stencils and projection of an iteration make up
 the difference.
 
@@ -31,8 +31,10 @@ calculus: they serve the total-variation energy and the varifold
 diagnostics, where staircase fields make spectral differentiation useless.
 The forward stencil and its adjoint are bound the same way, from
 `_stencil_plan` (per axis the spacing, the flat stride and the boundary
-slices), by `_bind_grad_forward` and `_bind_grad_adjoint`, which
-`grad_forward` and `grad_forward_adjoint` run once per call.
+slices), by `_bind_grad_forward` and `_bind_grad_adjoint`. The public
+kernels `poisson_apply_raw`, `grad_forward` and `grad_forward_adjoint` run
+their binder once into a new array, the stencils dividing by h exactly;
+the in-place, scaled forms are the binders, which the solve runs.
 
 Wall reflection is one rule, applied by `_ghost_pad` for the centered
 stencils here and for the flow maps in `flows`: every component gets one
@@ -63,6 +65,7 @@ import numpy as np
 
 MEAN_ZERO_RTOL = 1e-12
 _SUBLATTICE = 4
+_FACE_PROBES = 7  # probe points per axis on a box face
 
 
 @dataclass(frozen=True)
@@ -224,14 +227,14 @@ def project_mean_zero(f):
     return MeanZeroField(f.domain, f.values - f.values.mean())
 
 
-def _face_probe_points(grid, axis, side, per_axis=7):
+def _face_probe_points(grid, axis, side):
     """Points spread over one box face, for probing analytic definitions."""
     coords = []
     for a in range(grid.d):
         if a == axis:
             coords.append(np.array([0.0 if side == 0 else grid.lengths[a]]))
         else:
-            coords.append(np.linspace(0.0, grid.lengths[a], per_axis))
+            coords.append(np.linspace(0.0, grid.lengths[a], _FACE_PROBES))
     return np.meshgrid(*coords, indexing="ij")
 
 
@@ -354,11 +357,11 @@ def _transform_calls(values, plan, out, work, inverse=False):
     return calls
 
 
-def _cosine(values, grid, inverse=False):
-    """`_transform_calls` of `values` on `grid`, run once into a new array."""
+def _cosine(values, grid):
+    """The orthonormal DCT-II of `values`, run once into a new array."""
     out = np.empty(grid.shape)
     work = np.empty((2,) + grid.shape)
-    calls = _transform_calls(values, _cosine_plan(grid), out, work, inverse)
+    calls = _transform_calls(values, _cosine_plan(grid), out, work)
     return _bound(calls, out)()
 
 
@@ -388,27 +391,12 @@ def _bind_poisson(values, grid, out):
     return _bound(calls, out)
 
 
-def _out_buffer(out, shape):
-    """`out` if it can take a result of this shape in place, else a new array.
-
-    The kernels write through raveled and reshaped views of `out`, which
-    are views only for a C-contiguous array; any other buffer is refused
-    rather than written through a copy.
-    """
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array of shape %r" % (shape,))
-    return out
-
-
-def poisson_apply_raw(values, grid, out=None):
+def poisson_apply_raw(values, grid):
     """Array-level inverse Laplacian (zero-flux walls, zero mode dropped).
 
-    `_bind_poisson`, run once; the result is written into `out` when one
-    is given.
+    `_bind_poisson`, run once into a new array.
     """
-    return _bind_poisson(values, grid, _out_buffer(out, grid.shape))()
+    return _bind_poisson(values, grid, np.empty(grid.shape))()
 
 
 def neumann_solve(F):
@@ -478,8 +466,9 @@ def _stencil_plan(grid):
 
 
 def _scale_call(diffs, h, scale):
-    """The call that divides `diffs` in place by the spacing h, or, given
-    a scale, multiplies it by scale / h."""
+    """The call that divides `diffs` in place by the spacing h (scale None:
+    the public kernels), or multiplies it by scale / h (the stencils that
+    `minmov._solve_relaxed` binds, which fold a PD step size in)."""
     if scale is None:
         return np.divide, (diffs, h, diffs)
     return np.multiply, (diffs, scale / h, diffs)
@@ -525,36 +514,31 @@ def _bind_grad_adjoint(ps, grid, out, scale):
     return _bound(calls, out)
 
 
-def grad_forward(values, grid, out=None, scale=None):
+def grad_forward(values, grid):
     """Forward differences per axis, zero on the last slice of each axis.
 
     This is the gradient operator of the discrete total variation; its exact
     negative adjoint is `grad_forward_adjoint`. Returns the components
-    stacked in a (d, *shape) array, written into `out` when one is given.
-    Each axis is one subtraction over the raveled arrays, shifted
-    by the axis stride; the differences that wrap from one row into the
-    next all land on the last slice, which is zeroed after. Without `scale`
-    each axis is then divided by its spacing, which is np.diff over h bit
-    for bit; with it, multiplied by scale / h, which folds a caller's
-    factor into that pass and costs no division.
+    stacked in a new (d, *shape) array. Each axis is one subtraction over
+    the raveled arrays, shifted by the axis stride; the differences that
+    wrap from one row into the next all land on the last slice, which is
+    zeroed after. Each axis is then divided by its spacing, which is
+    np.diff over h bit for bit.
     """
-    out = _out_buffer(out, (grid.d,) + grid.shape)
-    return _bind_grad_forward(values, grid, out, scale)()
+    return _bind_grad_forward(values, grid, np.empty((grid.d,) + grid.shape), None)()
 
 
-def grad_forward_adjoint(ps, grid, out=None, scale=None):
+def grad_forward_adjoint(ps, grid):
     """Exact transpose of grad_forward: sum_cells (grad u)_a p_a = sum u * out.
 
     Row i of the forward difference along an axis writes +1/h at i+1 and
     -1/h at i, for i = 0 .. n-2, so the transpose is -p_0 on the first
     slice, p_{i-1} - p_i inside and p_{n-2} on the last slice, over h.
-    `ps` holds one component per axis, as a list or stacked; the result is
-    written into `out` when one is given, and `scale` acts as in
-    grad_forward. The inside is one subtraction over the raveled arrays
-    per axis, and the first and last slices are then overwritten.
+    `ps` holds one component per axis, as a list or stacked. The inside is
+    one subtraction over the raveled arrays per axis, and the first and
+    last slices are then overwritten.
     """
-    out = _out_buffer(out, grid.shape)
-    return _bind_grad_adjoint(ps, grid, out, scale)()
+    return _bind_grad_adjoint(ps, grid, np.empty(grid.shape), None)()
 
 
 def tv_forward(values, grid):

@@ -63,8 +63,6 @@ class ScenarioSpec:
                 raise ValueError("%s does not read %s" % (self.kind, f.name))
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if len(self.dims) != len(self.lengths):
-            raise ValueError("dims and lengths disagree")
         if self.kind in ("ball", "two_balls") and len(self.centers) != len(self.radii):
             raise ValueError("need one radius per center")
         if self.kind == "ball" and len(self.radii) != 1:

@@ -20,6 +20,15 @@ A second scan stands in for a linter's unused-import rule: every name a
 A third scan holds the modules to one import order, `LAYERS`: a module
 imports only siblings of a lower layer.
 
+A fourth scan finds parameters that nothing sets: every defaulted parameter
+of a `src/mskit` function, nested function or method, `__init__` included,
+must be passed by some call in `src/mskit` or in a non-test
+`perfbench/*.py`, by keyword, by position or through a `*` or `**` splat,
+unless `ALLOWED_UNPASSED` names it with the reason it stays. A call is
+matched to its callee by name alone (the class name for `__init__`), as the
+first scan matches names, so a call of one function counts for every other
+function of the same name.
+
 Last, a fresh interpreter imports the command line and every module of the
 package and must load no scipy module: the program runs on numpy alone,
 and scipy, whose `ndimage` import once cost most of a cold start, is a
@@ -73,6 +82,14 @@ ALLOWED_UNREAD_IMPORTS = {
         "perfbench/tracing.py wraps `mskit.minmov.poisson_apply_raw`, and "
         "perfbench/test_perfbench.py deletes the binding there; the solve "
         "runs the kernel that the private `_bind_poisson` binds"
+    ),
+}
+
+# Defaulted parameters no program call passes, each with the reason it stays.
+ALLOWED_UNPASSED = {
+    "cli.main(argv)": (
+        "the `mskit` console script calls main() bare, and the tests drive "
+        "the command line through argv"
     ),
 }
 
@@ -291,6 +308,78 @@ def test_imports_follow_the_layer_order():
         sorted(modules ^ set(LAYERS)))
     flagged = layer_violations()
     assert not flagged, "imports against the layer order: %s" % flagged
+
+
+def _defaulted_parameters(path):
+    """(module.name(param), callee name, position or None, param) for each
+    defaulted parameter of a function, nested function or method in `path`.
+
+    The position counts the arguments a call passes before the parameter
+    (a method's first parameter is bound, not passed); a keyword-only
+    parameter has none. `__init__` is called by its class name.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {
+        id(node): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        callee = node.name
+        if id(node) in methods and callee == "__init__":
+            callee = methods[id(node)]
+        positional = node.args.posonlyargs + node.args.args
+        bound = 1 if id(node) in methods else 0
+        defaulted = [
+            (i - bound, arg)
+            for i, arg in enumerate(positional)
+            if i >= len(positional) - len(node.args.defaults)
+        ] + [
+            (None, arg)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if default is not None
+        ]
+        for position, arg in defaulted:
+            name = "%s.%s(%s)" % (path.stem, callee, arg.arg)
+            yield name, callee, position, arg.arg
+
+
+def _passes(call, position, param):
+    """Whether `call` passes the parameter at `position` named `param`."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def unpassed_defaults():
+    """module.name(param) for each defaulted parameter no program call passes."""
+    program = [path for path in SCANNED if not path.name.startswith("test_")]
+    calls = {}
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, callee, position, param in _defaulted_parameters(path)
+        if not any(_passes(call, position, param) for call in calls.get(callee, []))
+    }
+
+
+def test_defaulted_parameters_are_passed():
+    unpassed = unpassed_defaults()
+    flagged = sorted(unpassed - set(ALLOWED_UNPASSED))
+    assert not flagged, "defaulted parameters no program call passes: %s" % flagged
+    stale = sorted(set(ALLOWED_UNPASSED) - unpassed)
+    assert not stale, "passed or gone now; drop them from the list: %s" % stale
 
 
 def test_package_imports_without_scipy():

@@ -366,9 +366,9 @@ class TestKernelsMatchReference:
         got = poisson_apply_raw(v, g)
         err = np.max(np.abs(got - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
-        # a caller's buffer takes the same values in place
+        # the bound kernel the solve runs takes the same values in place
         out = np.empty(g.shape)
-        assert poisson_apply_raw(v, g, out=out) is out
+        assert fields._bind_poisson(v, g, out)() is out
         assert np.array_equal(out, got)
 
     @given(kernel_grids())
@@ -381,8 +381,11 @@ class TestKernelsMatchReference:
             assert mat_t.flags.c_contiguous
             assert np.array_equal(mat_t, mat.T)
         v = np.random.default_rng(seed).standard_normal(g.shape)
-        back = fields._cosine(fields._cosine(v, g), g, inverse=True)
-        assert back.shape == g.shape
+        back = np.empty(g.shape)
+        calls = fields._transform_calls(
+            fields._cosine(v, g), fields._cosine_plan(g), back,
+            np.empty((2,) + g.shape), inverse=True)
+        assert fields._bound(calls, back)() is back
         assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
 
     @given(kernel_grids())
@@ -394,11 +397,11 @@ class TestKernelsMatchReference:
         for got, ref in zip(grad_forward(v, g), refs):
             assert np.array_equal(got, ref)
         out = np.empty((g.d,) + g.shape)
-        assert grad_forward(v, g, out=out) is out
+        assert fields._bind_grad_forward(v, g, out, None)() is out
         for got, ref in zip(out, refs):
             assert np.array_equal(got, ref)
         # a scale is one multiply by scale / h: equal to rounding
-        for got, ref in zip(grad_forward(v, g, scale=0.3), refs):
+        for got, ref in zip(fields._bind_grad_forward(v, g, out, 0.3)(), refs):
             assert np.allclose(got, 0.3 * ref, rtol=1e-15, atol=0.0)
 
     @given(kernel_grids())
@@ -413,19 +416,10 @@ class TestKernelsMatchReference:
         assert np.array_equal(grad_forward_adjoint(ps, g), ref)
         # a stacked dual into a caller's buffer gives the same values
         out = np.empty(g.shape)
-        assert grad_forward_adjoint(np.stack(ps), g, out=out) is out
+        assert fields._bind_grad_adjoint(np.stack(ps), g, out, None)() is out
         assert np.array_equal(out, ref)
-        scaled = grad_forward_adjoint(ps, g, scale=0.3)
+        scaled = fields._bind_grad_adjoint(ps, g, out, 0.3)()
         assert np.allclose(scaled, 0.3 * ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
-
-    def test_out_buffer_must_be_contiguous(self):
-        g = make_grid((8, 8), (1.0, 1.0))
-        v = np.zeros(g.shape)
-        strided = np.empty((8, 16))[:, ::2]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            poisson_apply_raw(v, g, out=strided)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            grad_forward(v, g, out=np.empty((8, 8, 2)))
 
     @given(kernel_grids(), st.booleans())
     @example((make_grid((8, 8), (1.0, 1.0)), 7), True)
