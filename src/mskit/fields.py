@@ -46,9 +46,10 @@ axis. The negation multiplies the ghost view in place, because numpy 2.4's
 `out` (seen on 8 x 8), writes the negated first row into it.
 
 Cell averages are one rule too: `cell_average` takes the mean of a sampled
-function over the 4^d centred sub-lattice of each cell. It rasterises the
-initial shapes in `scenarios` and pulls fields back through flow maps in
-`flows`.
+function over the 4^d centred sub-lattice of each cell, summing the samples
+in the order of `_sublattice_shifts`, which states the offsets once. It
+rasterises the initial shapes in `scenarios`; `flows` pulls fields back
+through flow maps on the same sub-lattice, in the same order.
 
 `mollify` correlates one axis at a time with symmetric walls, in numpy
 alone. It keeps the order of scipy.ndimage's symmetric-filter loop (centre
@@ -196,18 +197,33 @@ class VectorField:
         return float(np.sqrt(sq.max()))
 
 
+def _sublattice_shifts(grid):
+    """Displacements of a cell's sub-lattice points from its centre, in order.
+
+    Per axis the offsets are (k + 1/2) / _SUBLATTICE - 1/2 cell widths, so
+    no point lies farther than 1/2 - 1/(2 _SUBLATTICE) of a cell from its
+    centre. The list runs over the offset tuples in itertools.product order,
+    which is the order every cell average sums its samples in.
+    """
+    offs = (np.arange(_SUBLATTICE) + 0.5) / _SUBLATTICE - 0.5
+    return [
+        tuple(shift[a] * grid.spacing[a] for a in range(grid.d))
+        for shift in itertools.product(offs, repeat=grid.d)
+    ]
+
+
 def cell_average(grid, sample):
     """Per cell, the mean of sample(*points) over its centred sub-lattice.
 
-    Per axis the offsets from the centre are (k + 1/2) / _SUBLATTICE - 1/2
-    cell widths. sample gets one grid-shaped array per axis, once per offset.
+    sample gets one grid-shaped array per axis, once per entry of
+    `_sublattice_shifts`, and the samples are summed in that order.
     """
     centers = grid.meshes()
-    offs = (np.arange(_SUBLATTICE) + 0.5) / _SUBLATTICE - 0.5
+    shifts = _sublattice_shifts(grid)
     acc = np.zeros(grid.shape)
-    for shift in itertools.product(offs, repeat=grid.d):
-        acc += sample(*[centers[a] + shift[a] * grid.spacing[a] for a in range(grid.d)])
-    return acc / _SUBLATTICE ** grid.d
+    for shift in shifts:
+        acc += sample(*[centers[a] + shift[a] for a in range(grid.d)])
+    return acc / len(shifts)
 
 
 def _top_cells(values, k):

@@ -11,6 +11,14 @@ displacement, ghost-padded by the tangential wall reflection of
 points at most half a cell beyond a face, as far as the ghost layer
 reaches, which is enough: wall-tangential flows, integrated in sub-cell
 steps, keep their points inside the box.
+
+A pullback samples each cell on the sub-lattice of `fields.cell_average`
+and moves the samples through the maps. An interpolated displacement is
+a convex combination of the map's values, so the maps move a point by at
+most the sum of their largest displacements, and far from the interface
+a sample reads its own cell's value. `_pullback` moves only the samples
+of the cells this reach bound leaves in doubt, the interface band, and
+returns the full-grid average bit for bit.
 """
 
 import math
@@ -18,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MeanZeroField, VectorField, _ghost_pad, cell_average, hminus_norm_sq
+from .fields import (
+    MeanZeroField,
+    VectorField,
+    _ghost_pad,
+    _sublattice_shifts,
+    hminus_norm_sq,
+)
 from .energy import (
     PhaseField,
     constraint_integral,
@@ -41,9 +55,10 @@ class _InterpScratch:
 
     Per axis the two linear weights and the two flat ghost-grid offsets,
     then the corner weight, the corner offset and the gathered values.
-    `_flow_displacement` and `_pullback` make one per call and pass it to
-    every interpolation they run, so those write into the same memory
-    instead of allocating and freeing their temporaries each time.
+    `_flow_displacement` makes one per call and `_pullback` one per chunk
+    size, and each passes it to every interpolation of those points, so
+    those write into the same memory instead of allocating and freeing
+    their temporaries each time.
     """
 
     def __init__(self, d, shape):
@@ -164,24 +179,89 @@ def _lookup(values, grid, pts):
     return values[idx]
 
 
+def _running(values, radius, ufunc):
+    """ufunc reduced over every cell within radius[a] of each cell on axis a.
+
+    Separable: one pass per axis and offset, the window cut at the faces.
+    """
+    out = values.copy()
+    for a, r in enumerate(radius):
+        src = np.moveaxis(out.copy(), a, 0)
+        dst = np.moveaxis(out, a, 0)
+        for k in range(1, min(r, dst.shape[0] - 1) + 1):
+            ufunc(dst[k:], src[:-k], out=dst[k:])
+            ufunc(dst[:-k], src[k:], out=dst[:-k])
+    return out
+
+
+def _interface_band(values, grid, maps):
+    """Flat indices of the cells whose samples `_pullback` must move.
+
+    These are the cells with a value other than their own within r_a =
+    ceil(R_a / h_a + 3/8) cells on every axis a, R_a the maps' reach, and,
+    so that a point the earlier maps push beyond the ghost layer still
+    raises, every cell within their reach less half a cell of a face.
+    """
+    h = np.array(grid.spacing)
+    reach = np.array([[np.abs(c).max() for c in disp] for disp in maps])
+    spread = np.max(np.abs(_sublattice_shifts(grid)), axis=0)
+    radius = [math.ceil(r) for r in (reach.sum(axis=0) + spread) / h]
+    band = _running(values, radius, np.minimum) != _running(values, radius, np.maximum)
+    guard = np.ceil(reach[:-1].sum(axis=0) / h - 0.5).astype(np.int64)
+    for a, g in enumerate(guard):
+        if g > 0:
+            faces = np.moveaxis(band, a, 0)
+            faces[:g] = True
+            faces[-g:] = True
+    return np.flatnonzero(band)
+
+
 def _pullback(chi, maps):
     """Cell averages of chi composed with the maps of `_build_map`, in order.
 
-    `fields.cell_average` samples each cell on its sub-lattice. A map moves
-    the sample points by one interpolation of its displacement; the warped
-    points read the piecewise-constant chi directly, so the averages stay
-    in [0,1] and the mass error is a resampling error only.
+    Each cell averages chi at its `fields._sublattice_shifts` points moved
+    by one interpolation of each map's displacement after the other; the
+    moved points read the piecewise-constant chi directly, so the averages
+    stay in [0,1] and the mass error is a resampling error only.
+    Multilinear weights are nonnegative, so a map moves a point along axis
+    a by at most its largest |displacement| there, and the maps together by
+    at most R_a, the sum of those. A sub-lattice point sits at most 3/8 of
+    a cell from its centre, so it reads a cell within ceil(R_a / h_a + 3/8)
+    of its own, with at least half a cell to spare for rounding: outside
+    `_interface_band` every such cell holds the cell's own value, which the
+    cell sums once per shift. The band cells' points go through the maps in
+    chunks of whole shifts, at most one grid's worth of points each. Every
+    point gets the arithmetic it would get alone and each cell sums its
+    samples in shift order, so the result is `fields.cell_average` of the
+    moved samples over the whole grid, bit for bit, for any chi.
     """
     grid = chi.domain
-    scratch = _InterpScratch(grid.d, grid.shape)
-
-    def sample(*pts):
-        for disp in maps:
-            off = _interp_vector(disp, grid, pts, scratch)
-            pts = [pts[a] + off[a] for a in range(grid.d)]
-        return _lookup(chi.values, grid, pts)
-
-    return cell_average(grid, sample)
+    values = chi.values
+    shifts = _sublattice_shifts(grid)
+    band = _interface_band(values, grid, maps)
+    acc = np.zeros(grid.shape)
+    for _ in shifts:
+        acc += values
+    if band.size:
+        centers = [c.ravel()[band] for c in grid.meshes()]
+        per_chunk = max(1, values.size // band.size)
+        sums = np.zeros(band.size)
+        scratch = None
+        for start in range(0, len(shifts), per_chunk):
+            chunk = shifts[start:start + per_chunk]
+            pts = [
+                np.add.outer([shift[a] for shift in chunk], centers[a]).ravel()
+                for a in range(grid.d)
+            ]
+            if scratch is None or scratch.t.shape != pts[0].shape:
+                scratch = _InterpScratch(grid.d, pts[0].shape)
+            for disp in maps:
+                off = _interp_vector(disp, grid, pts, scratch)
+                pts = [pts[a] + off[a] for a in range(grid.d)]
+            for sampled in _lookup(values, grid, pts).reshape(len(chunk), -1):
+                sums += sampled
+        np.put(acc, band, sums)
+    return acc / len(shifts)
 
 
 def _require_member(chi, B):

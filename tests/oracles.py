@@ -40,6 +40,12 @@ each with its own wall taper. It returns the sampled components of each
 of the 8 fields, which `energy.default_tangential_fields` must repeat bit
 for bit.
 
+pullback_ref is the full-grid pullback: every sub-lattice point of every
+cell goes through every flow map, one grid of points per offset, and
+`fields.cell_average` sums what the moved points read. `flows._pullback`
+interpolates only its interface band and must return the same averages
+bit for bit, and raise wherever this raises.
+
 supersampled is the original shape rasteriser: it evaluates an indicator
 once on the whole fine lattice of n^d points per cell, placed from the cell
 corners, and averages each cell's block. `fields.cell_average` places the
@@ -51,7 +57,8 @@ from scipy.fft import dctn, idctn
 
 from mskit import minmov
 from mskit.energy import PhaseField, wall_weight
-from mskit.fields import _neumann_symbol, div_mirror
+from mskit.fields import _neumann_symbol, cell_average, div_mirror
+from mskit.flows import _InterpScratch, _interp_vector, _lookup
 
 
 def dct2_synthesis_matrix(n):
@@ -356,6 +363,20 @@ def solve_relaxed_ref(chi_prev, tau, p, cfg, start=None):
     info = minmov.SolveInfo(iters=iters, converged=converged,
                             residual=float(residual))
     return out, info, (u_hat, y_hat, shift)
+
+
+def pullback_ref(chi, maps):
+    """Cell averages of chi composed with the maps, every point evaluated."""
+    grid = chi.domain
+    scratch = _InterpScratch(grid.d, grid.shape)
+
+    def sample(*pts):
+        for disp in maps:
+            off = _interp_vector(disp, grid, pts, scratch)
+            pts = [pts[a] + off[a] for a in range(grid.d)]
+        return _lookup(chi.values, grid, pts)
+
+    return cell_average(grid, sample)
 
 
 def supersampled(grid, indicator, n=4):

@@ -13,6 +13,7 @@ from mskit.diagnostics import (
 )
 from mskit.energy import (
     EnergyParams,
+    PhaseField,
     compatibility_check,
     constraint_integral,
     default_tangential_fields,
@@ -35,6 +36,7 @@ from mskit.flows import (
     _InterpScratch,
     _build_map,
     _flow_displacement,
+    _interface_band,
     _interp_vector,
     _pullback,
     construct_xi,
@@ -45,6 +47,7 @@ from mskit.flows import (
 from mskit.scenarios import default_scenarios, make_initial
 
 import shapes
+from oracles import pullback_ref
 
 # r(s) of `mskit check flows` (64^2 ball, projected rotation field)
 CHECK_FLOWS_R = (
@@ -60,12 +63,12 @@ CHECK_FLOWS_LAMBDA = 3.8314470064454227
 CHECK_FLOWS_GT_RESIDUAL = 0.01157338743602623
 CHECK_FLOWS_COMPAT = (0.0013398239385823008, 0.0013378501113719943)
 # `_interp_vector` calls of `mskit check flows` over its four s values:
-# each interpolates one grid's worth of points and together they are the
-# cost. The RK4 stages that build each map, then one call per map for each
-# supersample shift of each pullback (38 pullbacks: one plain deformation
-# per s, then a mass search started at its linearised parameter); 1680 is
-# the measured count
-CHECK_FLOWS_MAX_INTERPOLATIONS = 1680
+# each interpolates at most one grid's worth of points and together they
+# are the cost. The RK4 stages that build each map (528), then one call
+# per map for each chunk of each pullback's interface band (38 pullbacks:
+# one plain deformation per s, then a mass search started at its
+# linearised parameter); 708 is the measured count
+CHECK_FLOWS_MAX_INTERPOLATIONS = 708
 
 # Analytic dual norm of the pairing field for the mid-plane stripe under
 # B = (sin(pi x) cos(2 pi y), 0): expanding the interface line measure in
@@ -515,6 +518,109 @@ class TestFlowMapGeometry:
         vals = _pullback(disk64, [bwd, fwd])
         err = float(np.abs(vals - disk64.values).sum()) * disk64.domain.cell_volume
         assert err <= 2.0 * resample_floor(disk64)
+
+
+@st.composite
+def pullback_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    dims = tuple(draw(st.integers(8, 13 if d == 2 else 9)) for _ in range(d))
+    lengths = tuple(draw(st.sampled_from((0.5, 1.0, 1.7))) for _ in range(d))
+    fractional = draw(st.booleans())
+    # per map, how it is made and how far it moves points, in cells of the
+    # finest axis: up to beyond half the box
+    maps = draw(st.lists(
+        st.tuples(st.sampled_from(("flow", "raw")),
+                  st.sampled_from((0.0, 0.3, 0.7, 1.6, 3.2, 7.0))),
+        min_size=1, max_size=2,
+    ))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return d, dims, lengths, fractional, maps, seed
+
+
+def ball_phase(grid, rng, fractional):
+    """A ball anywhere in (or across the walls of) the box; fractional
+    values fill its boundary shell and may fill its inside."""
+    L = np.array(grid.lengths)
+    center = rng.uniform(-0.2, 1.2, grid.d) * L
+    radius = rng.uniform(0.1, 0.5) * L.min()
+    dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.meshes(), center)))
+    vals = (dist < radius).astype(float)
+    if fractional:
+        vals *= rng.choice((1.0, rng.uniform()))
+        shell = np.abs(dist - radius) < max(grid.spacing)
+        vals[shell] = rng.uniform(size=int(shell.sum()))
+    return PhaseField(grid, vals)
+
+
+class TestInterfaceBand:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(pullback_cases())
+    def test_bit_identical_to_full_grid(self, case):
+        d, dims, lengths, fractional, recipe, seed = case
+        grid = make_grid(dims, lengths)
+        rng = np.random.default_rng(seed)
+        chi = ball_phase(grid, rng, fractional)
+        step = min(grid.spacing)
+        maps = []
+        for kind, cells in recipe:
+            comps = [rng.standard_normal(dims) for _ in range(d)]
+            if kind == "raw":
+                # any displacement: a second map may read beyond the ghost
+                # layer, and then both pullbacks must raise
+                scale = cells * step / max(np.abs(c).max() for c in comps)
+                maps.append(_ghost_pad([scale * c for c in comps], tangential=True))
+            else:
+                B = VectorField(grid, comps, tangential=True)
+                maps.append(_build_map(B, grid, cells * step / B.max_norm()))
+        try:
+            ref = pullback_ref(chi, maps)
+        except ValueError as err:
+            assert "outside the box on axis" in str(err)
+            with pytest.raises(ValueError, match="outside the box on axis"):
+                _pullback(chi, maps)
+        else:
+            assert np.array_equal(_pullback(chi, maps), ref)
+
+    def test_points_pushed_past_the_ghost_layer_raise(self):
+        # the interface is a mid-box line, far from the walls; the first map
+        # moves every point two cells towards x = 0, so the samples of the
+        # first two columns, which the interface alone leaves out of the
+        # band (the push alone reaches as far and adds no face cells),
+        # reach the second map beyond the ghost layer
+        g = make_grid((16, 16), (1.0, 1.0))
+        chi = shapes.stripe(g)
+        h = g.spacing[0]
+        push = _ghost_pad([np.full(g.dims, -2.0 * h), np.zeros(g.dims)],
+                          tangential=True)
+        still = _ghost_pad(zero_field(g).components, tangential=True)
+        edge = np.ravel_multi_index((0, 8), g.dims)
+        assert edge not in _interface_band(chi.values, g, (push,))
+        assert edge in _interface_band(chi.values, g, (push, still))
+        with pytest.raises(ValueError, match="outside the box on axis"):
+            pullback_ref(chi, (push, still))
+        with pytest.raises(ValueError, match="outside the box on axis"):
+            _pullback(chi, (push, still))
+
+    @pytest.mark.parametrize("cells", [0.0, 0.1, 0.5, 0.7, 1.0, 1.2, 2.65])
+    def test_band_spares_half_a_cell(self, cells):
+        # a sample sits within 3/8 of a cell of its centre, so moved by up
+        # to half a cell more than the maps can move it, it reads cells
+        # nearer than their reach plus 11/8 cells, centre to centre: all of
+        # them must be in the band (a radius of ceil(reach) alone leaves
+        # less than half a cell to spare)
+        g = make_grid((24, 16), (1.0, 2.0))
+        vals = np.zeros(g.dims)
+        odd = (11, 7)
+        vals[odd] = 1.0
+        chi = PhaseField(g, vals)
+        disp = _ghost_pad([np.full(g.dims, cells * h) for h in g.spacing],
+                          tangential=True)
+        band = np.zeros(g.dims, dtype=bool)
+        band.flat[_interface_band(chi.values, g, (disp,))] = True
+        i, j = np.indices(g.dims)
+        near = (np.abs(i - odd[0]) < cells + 11 / 8) & (np.abs(j - odd[1]) < cells + 11 / 8)
+        assert np.all(band[near])
+        assert not np.all(band)
 
 
 class TestFlowDeform:
